@@ -9,128 +9,23 @@ endowments against target metrics. Everything is deterministic given a
 seed.
 """
 
-from .agents import (
-    TradeFill,
-    bs_buy_decide,
-    bs_offer_decide,
-    pb_accept_prob,
-    pb_decide,
-    ps_decide,
-    settle_fill,
-)
-from .cli import default_profile
-from .core import (
-    AgentId,
-    AgentKind,
-    AgentState,
-    ConfigError,
-    ContractViolation,
-    EndowmentError,
-    MarketError,
-    ModelParams,
-    Offer,
-    OfferBook,
-    Rng,
-    make_rng,
-)
-from .endowments import (
-    DEFAULT_BOXES,
-    DEFAULT_TARGETS,
-    CalibrationTargets,
-    DistSpec,
-    EndowmentProfile,
-    calibrate_profile,
-    evaluate_profile,
-    generate_population,
-    load_population,
-    load_profile,
-    save_population,
-    save_profile,
-    simulate_profile_day,
-)
-from .engine import (
-    DayTrace,
-    FillEvent,
-    export_trace,
-    replay_fills,
-    run_day,
-    run_pretrading,
-    run_trading,
-)
-from .experiments import (
-    PopulationSource,
-    SweepSpec,
-    apply_axis,
-    experiment_seed,
-    run_batch,
-    run_sweep,
-    sweep_axes,
-    write_sweep_csv,
-    write_sweep_json,
-)
-from .metrics import (
-    METRIC_FIELDS,
-    AggregateMetrics,
-    DayMetrics,
-    aggregate,
-    compute_day_metrics,
-)
+# Each module's __all__ is the one list of its public names; the package
+# re-exports all of them.
+from . import agents, core, endowments, engine, experiments, metrics
+from .agents import *  # noqa: F403
+from .core import *  # noqa: F403
+from .endowments import *  # noqa: F403
+from .engine import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .metrics import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentId",
-    "AgentKind",
-    "AgentState",
-    "AggregateMetrics",
-    "CalibrationTargets",
-    "ConfigError",
-    "ContractViolation",
-    "DayMetrics",
-    "DayTrace",
-    "DEFAULT_BOXES",
-    "DEFAULT_TARGETS",
-    "DistSpec",
-    "EndowmentError",
-    "EndowmentProfile",
-    "FillEvent",
-    "MarketError",
-    "METRIC_FIELDS",
-    "ModelParams",
-    "Offer",
-    "OfferBook",
-    "PopulationSource",
-    "Rng",
-    "SweepSpec",
-    "TradeFill",
-    "aggregate",
-    "apply_axis",
-    "bs_buy_decide",
-    "bs_offer_decide",
-    "calibrate_profile",
-    "compute_day_metrics",
-    "default_profile",
-    "evaluate_profile",
-    "experiment_seed",
-    "export_trace",
-    "generate_population",
-    "load_population",
-    "load_profile",
-    "make_rng",
-    "pb_accept_prob",
-    "pb_decide",
-    "ps_decide",
-    "replay_fills",
-    "run_batch",
-    "run_day",
-    "run_pretrading",
-    "run_sweep",
-    "run_trading",
-    "save_population",
-    "save_profile",
-    "settle_fill",
-    "simulate_profile_day",
-    "sweep_axes",
-    "write_sweep_csv",
-    "write_sweep_json",
+    *agents.__all__,
+    *core.__all__,
+    *endowments.__all__,
+    *engine.__all__,
+    *experiments.__all__,
+    *metrics.__all__,
 ]

@@ -260,11 +260,21 @@ def settle_fill(
         raise ContractViolation("buyer cannot cover the notional")
     if seller.shares < fill.units:
         raise ContractViolation("seller does not hold the filled units")
+    fee = _transfer(fill, buyer, seller, params)
+    book.apply_fill(fill.seller, fill.units)
+    return fee
 
+
+def _transfer(
+    fill: TradeFill, buyer: AgentState, seller: AgentState, params: ModelParams
+) -> Fraction:
+    """Move the fill's shares to the buyer and its notional to the seller,
+    less the exit fee when debit_exit_fee is set; returns the fee. Shared by
+    live settlement and replay, so both land on the same exact balances."""
+    notional = fill.notional
     fee = _frac(params.exit_fee_rate) * notional
     buyer.shares += fill.units
     buyer.cash -= notional
     seller.shares -= fill.units
     seller.cash += notional - fee if params.debit_exit_fee else notional
-    book.apply_fill(fill.seller, fill.units)
     return fee

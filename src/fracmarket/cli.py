@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +30,7 @@ from .endowments import (
     CalibrationTargets,
     EndowmentProfile,
     calibrate_profile,
+    default_profile,
     generate_population,
     load_population,
     load_profile,
@@ -46,14 +46,6 @@ from .experiments import (
     write_sweep_json,
 )
 from .metrics import METRIC_FIELDS, AggregateMetrics, DayMetrics
-
-DEFAULT_PROFILE_RESOURCE = "default_profile.json"
-
-
-def default_profile() -> EndowmentProfile:
-    """The calibrated endowment profile shipped with the package."""
-    ref = resources.files("fracmarket").joinpath("data", DEFAULT_PROFILE_RESOURCE)
-    return EndowmentProfile.from_json_dict(json.loads(ref.read_text(encoding="utf-8")))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,18 +108,20 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_config(path: Path | None) -> dict:
+def _load_config(path: Path | None, what: str = "config") -> dict:
+    """The JSON object in the file at `path` ({} for no path); `what` names
+    the file in error messages."""
     if path is None:
         return {}
     try:
         with open(path, encoding="utf-8") as f:
             cfg = json.load(f)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ConfigError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
+        raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ConfigError(f"{what} file {path} must hold a JSON object")
     return cfg
 
 
@@ -139,18 +133,22 @@ def _build_params(cfg: dict) -> ModelParams:
     unknown = sorted(set(overrides) - known)
     if unknown:
         raise ConfigError(f"unknown parameter fields in config: {', '.join(unknown)}")
-    coerced = {}
-    for k, v in overrides.items():
-        if k in ("bs_search_len", "n_trading_iters"):
-            if float(v) != int(v):
-                raise ConfigError(f"{k}={v!r} must be an integer")
-            v = int(v)
-        elif k == "debit_exit_fee":
-            v = bool(v)
-        else:
-            v = float(v)
-        coerced[k] = v
-    return ModelParams().replace(**coerced)
+    return ModelParams().replace(
+        **{k: ModelParams.coerce(k, v) for k, v in overrides.items()}
+    )
+
+
+def _profile(args, cfg: dict) -> EndowmentProfile:
+    """--profile, else the config's "profile" (a path or an inline object),
+    else the packaged default profile."""
+    prof = getattr(args, "profile", None) or cfg.get("profile")
+    if prof is None:
+        return default_profile()
+    if isinstance(prof, dict):
+        return EndowmentProfile.from_json_dict(prof)
+    if not isinstance(prof, (str, Path)):
+        raise ConfigError(f'"profile" must be a path or an object, not {prof!r}')
+    return load_profile(prof)
 
 
 def _population_source(args, cfg: dict):
@@ -159,12 +157,7 @@ def _population_source(args, cfg: dict):
     pop_path = getattr(args, "population", None) or cfg.get("population")
     if pop_path:
         return load_population(pop_path)
-    prof = getattr(args, "profile", None) or cfg.get("profile")
-    if prof is None:
-        return default_profile()
-    if isinstance(prof, dict):
-        return EndowmentProfile.from_json_dict(prof)
-    return load_profile(prof)
+    return _profile(args, cfg)
 
 
 def _setting(args, cfg: dict, name: str, default):
@@ -258,6 +251,17 @@ def _cmd_batch(args) -> int:
 
 
 def _parse_sweep_values(parameter: str, text: str) -> list:
+    """Field axes convert each item with ModelParams.coerce; composite axes
+    take floats, and ``lo:hi`` items become pairs."""
+
+    def number(item: str):
+        if parameter in ModelParams.field_names():
+            return ModelParams.coerce(parameter, item)
+        try:
+            return float(item)
+        except ValueError:
+            raise ConfigError(f"{parameter}={item!r} is not a number") from None
+
     vals = []
     for item in text.split(","):
         item = item.strip()
@@ -265,11 +269,9 @@ def _parse_sweep_values(parameter: str, text: str) -> list:
             continue
         if ":" in item:
             lo, hi = item.split(":", 1)
-            vals.append((float(lo), float(hi)))
-        elif parameter in ("bs_search_len", "n_trading_iters"):
-            vals.append(int(item))
+            vals.append((number(lo), number(hi)))
         else:
-            vals.append(float(item))
+            vals.append(number(item))
     if not vals:
         raise ConfigError(f"no sweep values in {text!r}")
     return vals
@@ -319,13 +321,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_gen_endowments(args) -> int:
     cfg = _load_config(args.config)
     seed = int(_setting(args, cfg, "seed", 0))
-    prof = args.profile or cfg.get("profile")
-    if prof is None:
-        profile = default_profile()
-    elif isinstance(prof, dict):
-        profile = EndowmentProfile.from_json_dict(prof)
-    else:
-        profile = load_profile(prof)
+    profile = _profile(args, cfg)
     population = generate_population(profile, make_rng(np.random.SeedSequence(seed)))
     save_population(population, args.out)
     total_shares = sum(a.shares for a in population)
@@ -344,17 +340,13 @@ def _cmd_calibrate(args) -> int:
     if targets_path is None:
         targets = DEFAULT_TARGETS
     else:
-        try:
-            with open(targets_path, encoding="utf-8") as f:
-                doc = json.load(f)
-        except FileNotFoundError:
-            raise ConfigError(f"targets file not found: {targets_path}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"targets file {targets_path} is not valid JSON: {e}") from None
+        doc = _load_config(targets_path, "targets")
         try:
             targets = CalibrationTargets(**{k: float(doc[k]) for k in CalibrationTargets.FIELDS})
         except KeyError as e:
             raise ConfigError(f"targets file lacks {e.args[0]!r}") from None
+        except (TypeError, ValueError):
+            raise ConfigError(f"targets file {targets_path}: targets must be numbers") from None
 
     progress = None
     if args.progress:

@@ -14,7 +14,10 @@ tolerances. Offer prices stay ordinary floats.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
+import typing
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
@@ -305,8 +308,8 @@ class ModelParams:
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
                 problems.append(f"{name}={v!r} not in [0, 1]")
-        if not (isinstance(self.p_ref, (int, float)) and self.p_ref > 0):
-            problems.append(f"p_ref={self.p_ref!r} not positive")
+        if not (isinstance(self.p_ref, (int, float)) and 0 < self.p_ref < math.inf):
+            problems.append(f"p_ref={self.p_ref!r} not positive and finite")
         if not (isinstance(self.k_pb, (int, float)) and math.isfinite(self.k_pb)):
             problems.append(f"k_pb={self.k_pb!r} not finite")
         # zero-width bounds (lo == hi) are legal so degenerate price draws
@@ -319,14 +322,51 @@ class ModelParams:
             lo, hi = getattr(self, lo_name), getattr(self, hi_name)
             if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float))):
                 problems.append(f"{lo_name}/{hi_name} not numeric")
-            elif not (0.0 < lo <= hi):
-                problems.append(f"({lo_name}, {hi_name})=({lo}, {hi}) must satisfy 0 < lo <= hi")
-        if not (isinstance(self.bs_search_len, int) and self.bs_search_len >= 1):
-            problems.append(f"bs_search_len={self.bs_search_len!r} not a positive int")
-        if not (isinstance(self.n_trading_iters, int) and self.n_trading_iters >= 1):
-            problems.append(f"n_trading_iters={self.n_trading_iters!r} not a positive int")
+            elif not (0.0 < lo <= hi < math.inf):
+                problems.append(
+                    f"({lo_name}, {hi_name})=({lo}, {hi}) must satisfy 0 < lo <= hi < inf"
+                )
+        for name in ("bs_search_len", "n_trading_iters"):
+            v = getattr(self, name)
+            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
+                problems.append(f"{name}={v!r} not a positive int")
         if problems:
             raise ConfigError("invalid parameters: " + "; ".join(problems))
+
+    @staticmethod
+    def coerce(name: str, value) -> float | int | bool:
+        """`value` converted to the type of field `name`.
+
+        The one conversion for parameters given as text or loosely typed
+        numbers (config files, sweep values). A float field takes a number
+        or a numeric string; an int field takes an integral one; a flag
+        takes True/False, 0/1 or the strings "true"/"false"/"0"/"1" in any
+        case. Anything else, a bool for a numeric field included, raises
+        ConfigError naming the field and the value. Ranges are left to
+        `validate`.
+        """
+        kind = _FIELD_TYPES.get(name)
+        if kind is None:
+            raise ConfigError(f"unknown parameter field {name!r}")
+        if kind is bool:
+            if isinstance(value, str):
+                flag = _FLAG_WORDS.get(value.strip().lower())
+            else:
+                flag = bool(value) if isinstance(value, numbers.Real) and value in (0, 1) else None
+            if flag is None:
+                raise ConfigError(f"{name}={value!r} is not a flag (true, false, 0 or 1)")
+            return flag
+        x = None
+        if isinstance(value, (str, numbers.Real)) and not isinstance(value, bool):
+            with contextlib.suppress(ValueError, OverflowError):
+                x = float(value)
+        if x is None:
+            raise ConfigError(f"{name}={value!r} is not a number")
+        if kind is float:
+            return x
+        if not x.is_integer():
+            raise ConfigError(f"{name}={value!r} is not an integer")
+        return int(value) if isinstance(value, numbers.Integral) else int(x)
 
     def replace(self, **changes) -> "ModelParams":
         """Copy with fields changed; validates the result."""
@@ -337,3 +377,9 @@ class ModelParams:
     @staticmethod
     def field_names() -> tuple[str, ...]:
         return tuple(f.name for f in fields(ModelParams))
+
+
+_FLAG_WORDS = {"true": True, "false": False, "1": True, "0": False}
+
+# field name -> int, float or bool, read from ModelParams' annotations
+_FIELD_TYPES: dict[str, type] = typing.get_type_hints(ModelParams)

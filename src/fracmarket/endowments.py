@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -41,10 +42,12 @@ from .metrics import DayMetrics, aggregate
 __all__ = [
     "CalibrationTargets",
     "DEFAULT_BOXES",
+    "DEFAULT_PROFILE_RESOURCE",
     "DEFAULT_TARGETS",
     "DistSpec",
     "EndowmentProfile",
     "calibrate_profile",
+    "default_profile",
     "evaluate_profile",
     "generate_population",
     "load_population",
@@ -222,6 +225,15 @@ def load_profile(path) -> EndowmentProfile:
     if not isinstance(d, dict):
         raise EndowmentError(f"profile file {p} must hold a JSON object")
     return EndowmentProfile.from_json_dict(d)
+
+
+DEFAULT_PROFILE_RESOURCE = "default_profile.json"
+
+
+def default_profile() -> EndowmentProfile:
+    """The calibrated endowment profile shipped with the package."""
+    ref = resources.files("fracmarket").joinpath("data", DEFAULT_PROFILE_RESOURCE)
+    return EndowmentProfile.from_json_dict(json.loads(ref.read_text(encoding="utf-8")))
 
 
 def save_profile(profile: EndowmentProfile, path, metadata: dict | None = None) -> None:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .agents import (
     TradeFill,
+    _transfer,
     bs_buy_decide,
     bs_offer_decide,
     pb_decide,
@@ -197,21 +198,12 @@ def replay_fills(
 ) -> None:
     """Apply recorded fills to `population` in order, without a book.
 
-    Uses the same exact arithmetic as live settlement, so replaying a day's
-    trace against the initial balances lands on the final balances exactly.
+    Uses the same transfer as live settlement, so replaying a day's trace
+    against the initial balances lands on the final balances exactly.
     """
-    fee_rate = Fraction(params.exit_fee_rate)
     for ev in fills:
         fill = ev.fill if isinstance(ev, FillEvent) else ev
-        buyer = population[fill.buyer]
-        seller = population[fill.seller]
-        buyer.shares += fill.units
-        buyer.cash -= fill.notional
-        seller.shares -= fill.units
-        if params.debit_exit_fee:
-            seller.cash += fill.notional - fee_rate * fill.notional
-        else:
-            seller.cash += fill.notional
+        _transfer(fill, population[fill.buyer], population[fill.seller], params)
 
 
 def export_trace(trace: DayTrace, path) -> None:

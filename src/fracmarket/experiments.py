@@ -45,8 +45,6 @@ PopulationSource = Union[EndowmentProfile, Sequence[AgentState], str, Path]
 # envelope and re-derive the per-kind price bounds from it
 _COMPOSITE_AXES = ("market_range", "market_width", "market_midpoint")
 
-_INT_FIELDS = {"bs_search_len", "n_trading_iters"}
-
 
 def sweep_axes() -> tuple[str, ...]:
     """All accepted values for SweepSpec.parameter."""
@@ -64,37 +62,34 @@ def apply_axis(base: ModelParams, parameter: str, value) -> ModelParams:
     Composite axes: ``market_range`` takes a (lo, hi) pair; ``market_width``
     resizes the envelope around its current midpoint; ``market_midpoint``
     recenters it at its current width. All three re-derive the per-kind
-    price bounds. Raises ConfigError naming the value if the result is not
-    a valid parameter set.
+    price bounds. A field axis converts `value` with ModelParams.coerce.
+    Raises ConfigError naming the value if the result is not a valid
+    parameter set.
     """
     try:
+        if parameter == "market_range":
+            try:
+                lo, hi = (float(x) for x in value)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(
+                    f"market_range value {value!r} must be a (lo, hi) pair"
+                ) from None
+            return base.with_ranges_from_market(lo, hi)
         if parameter in _COMPOSITE_AXES:
-            if parameter == "market_range":
-                try:
-                    lo, hi = value
-                except (TypeError, ValueError):
-                    raise ConfigError(
-                        f"market_range value {value!r} must be a (lo, hi) pair"
-                    ) from None
-                return base.with_ranges_from_market(float(lo), float(hi))
+            try:
+                x = float(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{parameter}={value!r} is not a number") from None
             if parameter == "market_width":
-                mid = (base.market_lo + base.market_hi) / 2.0
-                w = float(value)
-                return base.with_ranges_from_market(mid - w / 2.0, mid + w / 2.0)
-            mid = float(value)
-            w = base.market_hi - base.market_lo
+                mid, w = (base.market_lo + base.market_hi) / 2.0, x
+            else:
+                mid, w = x, base.market_hi - base.market_lo
             return base.with_ranges_from_market(mid - w / 2.0, mid + w / 2.0)
         if parameter not in ModelParams.field_names():
             raise ConfigError(
                 f"unknown sweep parameter {parameter!r}; valid axes: {', '.join(sweep_axes())}"
             )
-        if parameter in _INT_FIELDS:
-            if float(value) != int(value):
-                raise ConfigError(f"{parameter} value {value!r} must be an integer")
-            value = int(value)
-        if parameter == "debit_exit_fee":
-            value = bool(value)
-        return base.replace(**{parameter: value})
+        return base.replace(**{parameter: ModelParams.coerce(parameter, value)})
     except ConfigError as e:
         raise ConfigError(f"sweep value {value!r} for {parameter!r}: {e}") from None
 
@@ -105,9 +100,14 @@ def _resolve_source(source: PopulationSource) -> EndowmentProfile | list[AgentSt
     if isinstance(source, (str, Path)):
         return load_population(source)
     roster = list(source)
-    for a in roster:
+    for pos, a in enumerate(roster):
         if not isinstance(a, AgentState):
             raise ConfigError(f"population roster contains a non-agent: {a!r}")
+        if a.id != pos:
+            raise ConfigError(
+                f"population roster: agent at position {pos} has id {a.id}; "
+                "ids must be the list positions 0, 1, 2, ..."
+            )
     return roster
 
 
@@ -151,7 +151,8 @@ def run_batch(
 
     With a profile source each experiment regenerates its population; with
     a roster or file source each experiment starts from a copy of the same
-    balances. Output is independent of `jobs`.
+    balances. A roster's ids must be dense: the agent at list position `i`
+    has id `i`, or ConfigError is raised. Output is independent of `jobs`.
     """
     params.validate()
     if reps < 1:

@@ -13,7 +13,7 @@ from conftest import make_population
 
 import fracmarket
 from fracmarket import load_population, save_population
-from fracmarket.cli import main
+from fracmarket.cli import _build_params, main
 
 
 @pytest.fixture()
@@ -238,6 +238,42 @@ def test_invalid_param_value_exits_1(capsys, tmp_path):
     assert "ps_offer_prob" in err
 
 
+SWEEP = "sweep --reps 2 --population {pop} --param"
+
+
+@pytest.mark.parametrize(
+    "command, config, want_code",
+    [
+        ("run --config {cfg}", {"params": {"pb_trade_prob": "abc"}}, 1),
+        ("gen-endowments --config {cfg} --out {tmp}/pop.csv", {"profile": 5}, 1),
+        (f"{SWEEP} ps_offer_prob --values 0.1,zz", None, 1),
+        (f"{SWEEP} bs_search_len --values 2.5", None, 1),
+        (f"{SWEEP} debit_exit_fee --values true", None, 0),
+        ("calibrate --budget 1 --reps 1 --targets {cfg} --out {tmp}/p.json",
+         [0.1, 60, 100, 4000, 500], 1),
+    ],
+)
+def test_bad_input_exits_1_with_one_line(
+    capsys, tmp_path, roster_csv, command, config, want_code
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = command.format(cfg=cfg, tmp=tmp_path, pop=roster_csv).split()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == want_code, err
+    if want_code == 0:
+        assert "True: liquidity_ratio" in out
+        assert err == ""
+    else:
+        assert err.startswith("fracmarket: configuration error: ")
+        assert err.count("\n") == 1, err
+
+
+def test_config_flag_words_parse():
+    assert _build_params({"params": {"debit_exit_fee": "false"}}).debit_exit_fee is False
+    assert _build_params({"params": {"debit_exit_fee": "true"}}).debit_exit_fee is True
+
+
 def test_bad_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--bogus"])
@@ -289,21 +325,39 @@ def declared_console_script(name: str) -> str:
         return tomllib.load(f)["project"]["scripts"][name]
 
 
-def test_console_entry_point_runs():
-    # Runs the entry point declared in pyproject.toml the way its installed
-    # wrapper would, so the test needs no `pip install` and no PATH lookup.
-    module, _, attr = declared_console_script("fracmarket").partition(":")
+def child_env() -> dict:
+    """Environment for a child interpreter that imports the fracmarket under
+    test first."""
     env = dict(os.environ)
     code_root = str(Path(fracmarket.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (code_root, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_console_entry_point_runs():
+    # Runs the entry point declared in pyproject.toml the way its installed
+    # wrapper would, so the test needs no `pip install` and no PATH lookup.
+    module, _, attr = declared_console_script("fracmarket").partition(":")
     proc = subprocess.run(
         [sys.executable, "-c", ENTRY_POINT_WRAPPER, module, attr,
          "run", "--seed", "1"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "liquidity_ratio" in proc.stdout, proc.stderr
+
+
+def test_importing_the_package_leaves_the_cli_out():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fracmarket; print('fracmarket.cli' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

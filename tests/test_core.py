@@ -1,8 +1,11 @@
 """Offer book bookkeeping and parameter validation."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fracmarket import (
     AgentKind,
@@ -187,6 +190,10 @@ def test_price_bounds_must_be_ordered():
         make_params(ps_price_lo=1.1, ps_price_hi=0.9).validate()
     with pytest.raises(ConfigError):
         make_params(market_lo=0.0, market_hi=1.0).validate()
+    for bad in ({"p_ref": math.inf}, {"p_ref": math.nan},
+                {"ps_price_hi": math.inf}, {"market_lo": 0.75, "market_hi": math.inf}):
+        with pytest.raises(ConfigError):
+            make_params(**bad).validate()
 
 
 def test_zero_width_price_bounds_allowed():
@@ -198,6 +205,10 @@ def test_search_len_and_iters_must_be_positive_ints():
         make_params(bs_search_len=0).validate()
     with pytest.raises(ConfigError):
         make_params(n_trading_iters=0).validate()
+    with pytest.raises(ConfigError, match="bs_search_len"):
+        make_params(bs_search_len=True).validate()
+    with pytest.raises(ConfigError, match="n_trading_iters"):
+        make_params(n_trading_iters=True).validate()
 
 
 def test_market_range_derivation():
@@ -218,3 +229,60 @@ def test_market_range_rederivation_keeps_other_fields():
 def test_replace_validates():
     with pytest.raises(ConfigError):
         ModelParams.baseline().replace(pb_trade_prob=2.0)
+
+
+# --- parameter coercion -----------------------------------------------------
+
+
+def test_coerce_converts_to_the_field_type():
+    assert ModelParams.coerce("pb_trade_prob", "0.25") == 0.25
+    assert type(ModelParams.coerce("p_ref", 50)) is float
+    assert ModelParams.coerce("bs_search_len", "7") == 7
+    assert type(ModelParams.coerce("n_trading_iters", 3.0)) is int
+    for text, flag in (("true", True), (" FALSE ", False), ("1", True), ("0", False)):
+        assert ModelParams.coerce("debit_exit_fee", text) is flag
+    assert ModelParams.coerce("debit_exit_fee", 1) is True
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("pb_trade_prob", "abc"),
+        ("pb_trade_prob", True),
+        ("pb_trade_prob", None),
+        ("bs_search_len", 2.5),
+        ("bs_search_len", "inf"),
+        ("debit_exit_fee", "yes"),
+        ("debit_exit_fee", 2),
+    ],
+)
+def test_coerce_rejects_with_field_and_value(name, value):
+    with pytest.raises(ConfigError) as exc:
+        ModelParams.coerce(name, value)
+    assert f"{name}={value!r}" in str(exc.value)
+
+
+def test_coerce_rejects_unknown_field():
+    with pytest.raises(ConfigError, match="spread"):
+        ModelParams.coerce("spread", 0.5)
+
+
+_COERCE_INPUTS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["true", "False", "0", "1", "1e400", "-inf", "nan", "", " 7 "]),
+    st.text(),
+)
+
+
+@given(name=st.sampled_from(ModelParams.field_names()), value=_COERCE_INPUTS)
+def test_coerce_returns_field_type_or_config_error(name, value):
+    try:
+        out = ModelParams.coerce(name, value)
+    except ConfigError:
+        return
+    assert type(out) is type(getattr(ModelParams(), name))
