@@ -1,19 +1,15 @@
 """Per-agent decision rules and trade settlement.
 
-Each rule consumes randomness from the generator it is handed, in a fixed
-documented order, so that a day is fully reproducible from one seed:
+The engine calls a rule only for an agent it has activated (see
+`engine`). Each rule consumes randomness from the generator it is handed,
+in a fixed documented order, so that a day is fully reproducible from one
+seed:
 
-* offer rules: activation uniform, then (if an offer results) one uniform
-  price draw;
-* pure-buyer rule: activation uniform, one integer draw to pick an offer,
-  one uniform against the acceptance probability;
-* buyer-seller buy rule: activation uniform, then one without-replacement
-  index sample over the below-reference offers (skipped when the whole
-  candidate set is taken).
-
-Callers that batch activation uniforms may pass the pre-drawn value via
-`activation`; the default draws it from `rng` so every rule is also usable
-standalone.
+* offer rules: one uniform price draw, if an offer results;
+* pure-buyer rule: one integer draw to pick an offer, then one uniform
+  against the acceptance probability (nothing on an empty book);
+* buyer-seller buy rule: one without-replacement index sample over the
+  below-reference offers (skipped when the whole candidate set is taken).
 """
 
 from __future__ import annotations
@@ -54,16 +50,13 @@ class TradeFill:
 
 def _draw_offer(
     agent: AgentState,
-    prob: float,
     ratio: float,
     lo: float,
     hi: float,
     params: ModelParams,
     rng: Rng,
-    activation: float | None,
 ) -> Offer | None:
-    u = rng.random() if activation is None else activation
-    if not (u < prob) or agent.shares <= 0:
+    if agent.shares <= 0:
         return None
     qty = math.floor(ratio * agent.shares)
     if qty < 1:
@@ -73,47 +66,32 @@ def _draw_offer(
     return Offer(price=price, quantity=qty, seller=agent.id)
 
 
-def ps_decide(
-    agent: AgentState,
-    params: ModelParams,
-    rng: Rng,
-    activation: float | None = None,
-) -> Offer | None:
+def ps_decide(agent: AgentState, params: ModelParams, rng: Rng) -> Offer | None:
     """Pure-seller offer rule.
 
-    With probability `ps_offer_prob`, a seller holding shares lists
-    floor(ps_offer_ratio * shares) of them at a price drawn uniformly from
-    (ps_price_lo, ps_price_hi) * p_ref. Returns None when inactive, out of
-    shares, or when the floor comes to zero.
+    A seller holding shares lists floor(ps_offer_ratio * shares) of them at
+    a price drawn uniformly from (ps_price_lo, ps_price_hi) * p_ref.
+    Returns None when out of shares or when the floor comes to zero.
     """
     return _draw_offer(
         agent,
-        params.ps_offer_prob,
         params.ps_offer_ratio,
         params.ps_price_lo,
         params.ps_price_hi,
         params,
         rng,
-        activation,
     )
 
 
-def bs_offer_decide(
-    agent: AgentState,
-    params: ModelParams,
-    rng: Rng,
-    activation: float | None = None,
-) -> Offer | None:
+def bs_offer_decide(agent: AgentState, params: ModelParams, rng: Rng) -> Offer | None:
     """Buyer-seller offer rule; same shape as ps_decide, own parameters."""
     return _draw_offer(
         agent,
-        params.bs_offer_prob,
         params.bs_offer_ratio,
         params.bs_price_lo,
         params.bs_price_hi,
         params,
         rng,
-        activation,
     )
 
 
@@ -169,24 +147,17 @@ def _budget_fill(
 
 
 def pb_decide(
-    agent: AgentState,
-    book: OfferBook,
-    params: ModelParams,
-    rng: Rng,
-    activation: float | None = None,
+    agent: AgentState, book: OfferBook, params: ModelParams, rng: Rng
 ) -> TradeFill | None:
     """Pure-buyer rule.
 
-    With probability `pb_trade_prob` the buyer inspects one uniformly chosen
-    offer and accepts it with probability pb_accept_prob(price). On
-    acceptance it spends up to pb_purchase_ratio of its cash: the whole
-    offer if affordable, otherwise the largest whole number of shares within
-    budget. Returns None when inactive, the book is empty, the offer is
-    rejected, or not even one share is affordable.
+    The buyer inspects one uniformly chosen offer and accepts it with
+    probability pb_accept_prob(price). On acceptance it spends up to
+    pb_purchase_ratio of its cash: the whole offer if affordable, otherwise
+    the largest whole number of shares within budget. Returns None when the
+    book is empty, the offer is rejected, or not even one share is
+    affordable.
     """
-    u = rng.random() if activation is None else activation
-    if not (u < params.pb_trade_prob):
-        return None
     if len(book) == 0:
         return None
     offer = book.offers[int(rng.integers(len(book)))]
@@ -196,23 +167,16 @@ def pb_decide(
 
 
 def bs_buy_decide(
-    agent: AgentState,
-    book: OfferBook,
-    params: ModelParams,
-    rng: Rng,
-    activation: float | None = None,
+    agent: AgentState, book: OfferBook, params: ModelParams, rng: Rng
 ) -> TradeFill | None:
     """Buyer-seller buy rule.
 
-    With probability `bs_trade_prob` the agent screens the offers priced
-    strictly below p_ref, excluding its own, samples at most bs_search_len
-    of them without replacement and takes the cheapest (earliest entry on a
-    price tie), spending up to bs_purchase_ratio of its cash as in
-    pb_decide. Bargain hunting: there is no acceptance lottery.
+    The agent screens the offers priced strictly below p_ref, excluding its
+    own, samples at most bs_search_len of them without replacement and
+    takes the cheapest (earliest entry on a price tie), spending up to
+    bs_purchase_ratio of its cash as in pb_decide. Bargain hunting: there
+    is no acceptance lottery.
     """
-    u = rng.random() if activation is None else activation
-    if not (u < params.bs_trade_prob):
-        return None
     p_ref = params.p_ref
     own = agent.id
     candidates = [o for o in book.offers if o.price < p_ref and o.seller != own]

@@ -24,7 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, EndowmentError, MarketError, ModelParams, make_rng
+from .core import (
+    ConfigError,
+    EndowmentError,
+    MarketError,
+    ModelParams,
+    as_number,
+    make_rng,
+)
 from .endowments import (
     DEFAULT_TARGETS,
     CalibrationTargets,
@@ -167,6 +174,20 @@ def _setting(args, cfg: dict, name: str, default):
     return cfg.get(name, default)
 
 
+def _int_setting(args, cfg: dict, name: str, default: int) -> int:
+    """An integer setting (reps, jobs, budget) from the flag, the config or
+    `default`; a non-integer value is a ConfigError. Ranges are checked
+    where the value is used."""
+    return as_number(name, _setting(args, cfg, name, default), int)
+
+
+def _seed(args, cfg: dict) -> int:
+    seed = _int_setting(args, cfg, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed={seed} must not be negative")
+    return seed
+
+
 def _fmt3(v) -> str:
     if v is None:
         return "undefined"
@@ -210,7 +231,7 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     params = _build_params(cfg)
     source = _population_source(args, cfg)
-    seed = int(_setting(args, cfg, "seed", 0))
+    seed = _seed(args, cfg)
     ss = np.random.SeedSequence(seed)
     if isinstance(source, EndowmentProfile):
         gen_ss, day_ss = ss.spawn(2)
@@ -233,9 +254,9 @@ def _cmd_batch(args) -> int:
     cfg = _load_config(args.config)
     params = _build_params(cfg)
     source = _population_source(args, cfg)
-    seed = int(_setting(args, cfg, "seed", 0))
-    reps = int(_setting(args, cfg, "reps", 1000))
-    jobs = int(_setting(args, cfg, "jobs", 1))
+    seed = _seed(args, cfg)
+    reps = _int_setting(args, cfg, "reps", 1000)
+    jobs = _int_setting(args, cfg, "jobs", 1)
     agg = run_batch(params, source, reps, seed, jobs=jobs)
     rows = [
         (name, _fmt3(agg.mean(name)) + " +- " + _fmt3(agg.std(name) or 0.0))
@@ -281,9 +302,9 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     params = _build_params(cfg)
     source = _population_source(args, cfg)
-    seed = int(_setting(args, cfg, "seed", 0))
-    reps = int(_setting(args, cfg, "reps", 1000))
-    jobs = int(_setting(args, cfg, "jobs", 1))
+    seed = _seed(args, cfg)
+    reps = _int_setting(args, cfg, "reps", 1000)
+    jobs = _int_setting(args, cfg, "jobs", 1)
     sweep_cfg = cfg.get("sweep", {})
     parameter = args.param or sweep_cfg.get("parameter")
     if not parameter:
@@ -320,7 +341,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gen_endowments(args) -> int:
     cfg = _load_config(args.config)
-    seed = int(_setting(args, cfg, "seed", 0))
+    seed = _seed(args, cfg)
     profile = _profile(args, cfg)
     population = generate_population(profile, make_rng(np.random.SeedSequence(seed)))
     save_population(population, args.out)
@@ -333,9 +354,9 @@ def _cmd_gen_endowments(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     cfg = _load_config(args.config)
-    seed = int(_setting(args, cfg, "seed", 0))
-    budget = int(_setting(args, cfg, "budget", 200))
-    reps = int(_setting(args, cfg, "reps", 200))
+    seed = _seed(args, cfg)
+    budget = _int_setting(args, cfg, "budget", 200)
+    reps = _int_setting(args, cfg, "reps", 200)
     targets_path = args.targets or cfg.get("targets")
     if targets_path is None:
         targets = DEFAULT_TARGETS

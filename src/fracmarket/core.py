@@ -36,6 +36,7 @@ __all__ = [
     "Offer",
     "OfferBook",
     "Rng",
+    "as_number",
     "make_rng",
 ]
 
@@ -144,14 +145,16 @@ class OfferBook:
 
     The book is rebuilt from scratch every trading day. It enforces at most
     one live offer per seller and hands out monotonically increasing entry
-    numbers so that price ties always resolve the same way.
+    numbers so that price ties always resolve the same way. `offers` keeps
+    the live offers in entry order; `_by_seller` indexes the same objects by
+    seller.
     """
 
-    __slots__ = ("offers", "_live_sellers", "_next_entry")
+    __slots__ = ("offers", "_by_seller", "_next_entry")
 
     def __init__(self) -> None:
         self.offers: list[Offer] = []
-        self._live_sellers: set[AgentId] = set()
+        self._by_seller: dict[AgentId, Offer] = {}
         self._next_entry = 0
 
     def __len__(self) -> int:
@@ -174,21 +177,16 @@ class OfferBook:
             raise ContractViolation(
                 f"offer from seller {offer.seller} has price {offer.price}"
             )
-        if offer.seller in self._live_sellers:
+        if offer.seller in self._by_seller:
             raise ContractViolation(f"seller {offer.seller} already has a live offer")
         offer.entry_order = self._next_entry
         self._next_entry += 1
         self.offers.append(offer)
-        self._live_sellers.add(offer.seller)
+        self._by_seller[offer.seller] = offer
         return offer
 
     def find(self, seller: AgentId) -> Offer | None:
-        if seller not in self._live_sellers:
-            return None
-        for o in self.offers:
-            if o.seller == seller:
-                return o
-        return None
+        return self._by_seller.get(seller)
 
     def apply_fill(self, seller: AgentId, units: int) -> Offer:
         """Consume `units` shares from the live offer of `seller`.
@@ -207,14 +205,14 @@ class OfferBook:
         offer.quantity -= units
         if offer.quantity == 0:
             self.offers.remove(offer)
-            self._live_sellers.discard(seller)
+            del self._by_seller[seller]
         return offer
 
     def snapshot(self) -> "OfferBook":
         """Deep copy preserving entry numbers, for start-of-day records."""
         out = OfferBook()
         out.offers = [o.copy() for o in self.offers]
-        out._live_sellers = set(self._live_sellers)
+        out._by_seller = {o.seller: o for o in out.offers}
         out._next_entry = self._next_entry
         return out
 
@@ -356,17 +354,7 @@ class ModelParams:
             if flag is None:
                 raise ConfigError(f"{name}={value!r} is not a flag (true, false, 0 or 1)")
             return flag
-        x = None
-        if isinstance(value, (str, numbers.Real)) and not isinstance(value, bool):
-            with contextlib.suppress(ValueError, OverflowError):
-                x = float(value)
-        if x is None:
-            raise ConfigError(f"{name}={value!r} is not a number")
-        if kind is float:
-            return x
-        if not x.is_integer():
-            raise ConfigError(f"{name}={value!r} is not an integer")
-        return int(value) if isinstance(value, numbers.Integral) else int(x)
+        return as_number(name, value, kind)
 
     def replace(self, **changes) -> "ModelParams":
         """Copy with fields changed; validates the result."""
@@ -377,6 +365,28 @@ class ModelParams:
     @staticmethod
     def field_names() -> tuple[str, ...]:
         return tuple(f.name for f in fields(ModelParams))
+
+
+def as_number(name: str, value, kind: type = float) -> float | int:
+    """`value` as a float (`kind=float`) or an integer (`kind=int`).
+
+    The one reader for numbers given as text or loosely typed JSON: model
+    parameters, profile fields and command-line settings. It takes a number
+    or a numeric string; an integer must be integral, never truncated.
+    Anything else, a bool included, raises ConfigError naming `name` and
+    the value. Ranges are left to the caller.
+    """
+    x = None
+    if isinstance(value, (str, numbers.Real)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError, OverflowError):
+            x = float(value)
+    if x is None:
+        raise ConfigError(f"{name}={value!r} is not a number")
+    if kind is float:
+        return x
+    if not x.is_integer():
+        raise ConfigError(f"{name}={value!r} is not an integer")
+    return int(value) if isinstance(value, numbers.Integral) else int(x)
 
 
 _FLAG_WORDS = {"true": True, "false": False, "1": True, "0": False}

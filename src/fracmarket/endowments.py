@@ -34,6 +34,7 @@ from .core import (
     EndowmentError,
     ModelParams,
     Rng,
+    as_number,
     make_rng,
 )
 from .engine import run_day
@@ -95,6 +96,9 @@ class DistSpec:
                 f"distribution {self.family!r}: missing args {missing}, unexpected {extra}"
             )
         a = self.args
+        infinite = [k for k, v in a.items() if not math.isfinite(v)]
+        if infinite:
+            raise ConfigError(f"distribution {self.family!r}: args {infinite} not finite")
         if self.family == "constant" and a["value"] < 0:
             raise ConfigError(f"constant value {a['value']} negative")
         if self.family == "uniform-integer":
@@ -128,9 +132,9 @@ class DistSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DistSpec":
-        if "family" not in d:
+        if not isinstance(d, dict) or "family" not in d:
             raise ConfigError(f"distribution spec {d!r} lacks a family")
-        args = {k: float(v) for k, v in d.items() if k != "family"}
+        args = {k: as_number(k, v) for k, v in d.items() if k != "family"}
         spec = cls(family=d["family"], args=args)
         spec.validate()
         return spec
@@ -168,8 +172,8 @@ class EndowmentProfile:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 problems.append(f"{name}={v!r} not in [0, 1]")
-        if self.cash_floor < 0:
-            problems.append(f"cash_floor={self.cash_floor!r} negative")
+        if not 0.0 <= self.cash_floor < math.inf:
+            problems.append(f"cash_floor={self.cash_floor!r} not nonnegative and finite")
         if problems:
             raise ConfigError("invalid profile: " + "; ".join(problems))
         for name in ("share_dist_ps", "share_dist_bs", "cash_dist_pb", "cash_dist_bs"):
@@ -194,18 +198,30 @@ class EndowmentProfile:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EndowmentProfile":
+        """Parse a profile object; a missing or bad value is a ConfigError
+        naming its key. Counts must be integral."""
+
+        def dist(key: str) -> DistSpec:
+            try:
+                return DistSpec.from_json_dict(d[key])
+            except ConfigError as e:
+                raise ConfigError(f"{key}: {e}") from None
+
+        def number(key: str, default, kind: type = float):
+            return as_number(key, d.get(key, default), kind)
+
         try:
             profile = cls(
-                share_dist_ps=DistSpec.from_json_dict(d["share_dist_ps"]),
-                share_dist_bs=DistSpec.from_json_dict(d["share_dist_bs"]),
-                cash_dist_pb=DistSpec.from_json_dict(d["cash_dist_pb"]),
-                cash_dist_bs=DistSpec.from_json_dict(d["cash_dist_bs"]),
-                n_pb=int(d.get("n_pb", 727)),
-                n_ps=int(d.get("n_ps", 413)),
-                n_bs=int(d.get("n_bs", 225)),
-                ps_holder_frac=float(d.get("ps_holder_frac", 1.0)),
-                bs_holder_frac=float(d.get("bs_holder_frac", 1.0)),
-                cash_floor=float(d.get("cash_floor", 0.0)),
+                share_dist_ps=dist("share_dist_ps"),
+                share_dist_bs=dist("share_dist_bs"),
+                cash_dist_pb=dist("cash_dist_pb"),
+                cash_dist_bs=dist("cash_dist_bs"),
+                n_pb=number("n_pb", 727, int),
+                n_ps=number("n_ps", 413, int),
+                n_bs=number("n_bs", 225, int),
+                ps_holder_frac=number("ps_holder_frac", 1.0),
+                bs_holder_frac=number("bs_holder_frac", 1.0),
+                cash_floor=number("cash_floor", 0.0),
             )
         except KeyError as e:
             raise ConfigError(f"profile lacks required key {e.args[0]!r}") from None

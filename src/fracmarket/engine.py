@@ -3,28 +3,30 @@
 A day runs in two phases over a fresh, empty book:
 
 1. pre-trading: every potential seller is visited exactly once, in a
-   uniformly random order, and may post one sell offer;
+   uniformly random order. A pure seller is active with probability
+   `ps_offer_prob`, a buyer-seller with `bs_offer_prob`; an active seller
+   may post one sell offer;
 2. trading: for each of `n_trading_iters` rounds, every potential buyer is
-   visited once in a fresh uniformly random order and may execute at most
-   one fill, settled immediately.
+   visited once in a fresh uniformly random order. A pure buyer is active
+   with probability `pb_trade_prob`, a buyer-seller with `bs_trade_prob`;
+   an active buyer may execute at most one fill, settled immediately.
 
 Offers still live after the last round are deleted; nothing carries over to
 the next day.
 
-Randomness layout per day (one generator, consumed in this order): seller
-visit permutation, one activation uniform per seller visit, then the price
-draws of the agents that post, in visit order. Each trading round consumes a
-buyer visit permutation, one activation uniform per buyer visit, then the
-per-agent draws of the active buyers in visit order. Activation uniforms are
-drawn as one block per phase purely for speed; the per-agent rules accept
-them via their `activation` parameter.
+Randomness layout per day (one generator, consumed in this order): the
+pre-trading visit, then one visit per trading round. A visit draws a
+permutation of its agents and then one uniform per visit position, as a
+block; the agent at a position is active when its uniform is below its
+activation probability. The rules of the active agents then make their own
+draws (listed in `agents`), in visit order. The rules are called for active
+agents only: activation is decided here and nowhere else.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,14 +75,26 @@ class DayTrace:
     """Complete record of one day.
 
     `offers_entered` holds copies of the offers as posted (quantities before
-    any fill). `per_iteration_metrics` has one cumulative snapshot after
-    each trading round. Replaying `fills` against the initial balances
-    reproduces the final balances exactly.
+    any fill). Each fill carries its round, so per-round totals are sums
+    over `fills` grouped by `iteration`. Replaying `fills` against the
+    initial balances reproduces the final balances exactly.
     """
 
     offers_entered: list[Offer]
     fills: list[FillEvent]
-    per_iteration_metrics: list[DayMetrics]
+
+
+def _visit(
+    agents: Sequence[AgentState], probs: np.ndarray, rng: Rng
+) -> list[AgentState]:
+    """Visit `agents` once each in a uniformly random order, activating the
+    agent at each position with its probability in `probs`; returns the
+    active agents in visit order. Draws nothing when `agents` is empty."""
+    if not agents:
+        return []
+    order = rng.permutation(len(agents))
+    active = order[rng.random(len(agents)) < probs[order]]
+    return [agents[i] for i in active.tolist()]
 
 
 def run_pretrading(
@@ -88,26 +102,20 @@ def run_pretrading(
 ) -> OfferBook:
     """Visit each seller once in random order; return the resulting book."""
     book = OfferBook()
-    sellers = [i for i, a in enumerate(population) if a.kind.sells]
-    if not sellers:
-        return book
+    sellers = [a for a in population if a.kind.sells]
     probs = np.array(
         [
             params.ps_offer_prob
-            if population[i].kind is AgentKind.PURE_SELLER
+            if a.kind is AgentKind.PURE_SELLER
             else params.bs_offer_prob
-            for i in sellers
+            for a in sellers
         ]
     )
-    order = rng.permutation(len(sellers))
-    draws = rng.random(len(sellers))
-    active = np.nonzero(draws < probs[order])[0]
-    for j in active:
-        agent = population[sellers[int(order[j])]]
+    for agent in _visit(sellers, probs, rng):
         if agent.kind is AgentKind.PURE_SELLER:
-            offer = ps_decide(agent, params, rng, activation=float(draws[j]))
+            offer = ps_decide(agent, params, rng)
         else:
-            offer = bs_offer_decide(agent, params, rng, activation=float(draws[j]))
+            offer = bs_offer_decide(agent, params, rng)
         if offer is not None:
             book.insert(offer)
     return book
@@ -122,55 +130,27 @@ def run_trading(
     """Run the trading rounds against a start-of-day book, settling fills
     in place on `population` and `book`. Returns the day's trace."""
     offers_entered = [o.copy() for o in book.offers]
-    offered_total = sum(o.quantity for o in offers_entered)
-    buyers = [i for i, a in enumerate(population) if a.kind.buys]
+    buyers = [a for a in population if a.kind.buys]
     probs = np.array(
         [
             params.pb_trade_prob
-            if population[i].kind is AgentKind.PURE_BUYER
+            if a.kind is AgentKind.PURE_BUYER
             else params.bs_trade_prob
-            for i in buyers
+            for a in buyers
         ]
     )
-
     fills: list[FillEvent] = []
-    per_iter: list[DayMetrics] = []
-    traded = 0
-    notional_sum = Fraction(0)
-    fee_sum = Fraction(0)
-
     for it in range(1, params.n_trading_iters + 1):
-        if buyers:
-            order = rng.permutation(len(buyers))
-            draws = rng.random(len(buyers))
-            active = np.nonzero(draws < probs[order])[0]
-            for j in active:
-                agent = population[buyers[int(order[j])]]
-                u = float(draws[j])
-                if agent.kind is AgentKind.PURE_BUYER:
-                    fill = pb_decide(agent, book, params, rng, activation=u)
-                else:
-                    fill = bs_buy_decide(agent, book, params, rng, activation=u)
-                if fill is None:
-                    continue
-                seller = population[fill.seller]
-                fee = settle_fill(fill, agent, seller, book, params)
-                fills.append(FillEvent(it, fill))
-                traded += fill.units
-                notional_sum += fill.notional
-                fee_sum += fee
-        per_iter.append(
-            DayMetrics(
-                n_offers=len(offers_entered),
-                n_trades=len(fills),
-                offered_shares=offered_total,
-                traded_shares=traded,
-                traded_notional=float(notional_sum),
-                platform_revenue=float(fee_sum),
-                liquidity_ratio=(traded / offered_total) if offered_total else None,
-            )
-        )
-    return DayTrace(offers_entered, fills, per_iter)
+        for agent in _visit(buyers, probs, rng):
+            if agent.kind is AgentKind.PURE_BUYER:
+                fill = pb_decide(agent, book, params, rng)
+            else:
+                fill = bs_buy_decide(agent, book, params, rng)
+            if fill is None:
+                continue
+            settle_fill(fill, agent, population[fill.seller], book, params)
+            fills.append(FillEvent(it, fill))
+    return DayTrace(offers_entered, fills)
 
 
 def run_day(
@@ -223,4 +203,3 @@ def export_trace(trace: DayTrace, path) -> None:
                 )
                 + "\n"
             )
-

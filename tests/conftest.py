@@ -1,6 +1,7 @@
 """Shared factories for the test suite."""
 
 from fractions import Fraction
+from itertools import accumulate
 
 from fracmarket import AgentKind, AgentState, ModelParams, Offer
 
@@ -27,3 +28,12 @@ def make_population(n_pb=0, n_ps=0, n_bs=0, shares=10, cash=100) -> list[AgentSt
     for _ in range(n_bs):
         pop.append(make_agent(len(pop), AgentKind.BUYER_SELLER, shares, cash))
     return pop
+
+
+def traded_by_round(trace, n_rounds: int) -> list[int]:
+    """Cumulative shares traded after each round 1..n_rounds, summed from
+    the rounds the trace's fills carry."""
+    per_round = [0] * n_rounds
+    for ev in trace.fills:
+        per_round[ev.iteration - 1] += ev.fill.units
+    return list(accumulate(per_round))

@@ -31,6 +31,8 @@ from fracmarket import (
     run_sweep,
 )
 
+from conftest import traded_by_round
+
 ACCEPT_REPS = int(os.environ.get("FRACMARKET_ACCEPT_REPS", "1000"))
 ACCEPT_JOBS = int(os.environ.get("FRACMARKET_ACCEPT_JOBS", "1"))
 
@@ -137,8 +139,11 @@ def test_invariants_hold_across_random_markets():
                 problems.append(f"{where}: trade count mismatch")
             if day.traded_shares != sum(ev.fill.units for ev in trace.fills):
                 problems.append(f"{where}: traded share mismatch")
-            if trace.per_iteration_metrics[-1] != day:
-                problems.append(f"{where}: final iteration snapshot != day metrics")
+            rounds = [ev.iteration for ev in trace.fills]
+            if rounds != sorted(rounds) or not set(rounds) <= set(
+                range(1, params.n_trading_iters + 1)
+            ):
+                problems.append(f"{where}: fill rounds out of order or range")
 
             for ev in trace.fills:
                 if ev.fill.buyer == ev.fill.seller:
@@ -387,8 +392,8 @@ def _scn_silent_day_has_undefined_ratio():
     assert day.n_offers == 0 and day.offered_shares == 0
     assert day.liquidity_ratio is None
     assert day.platform_revenue == 0
-    assert len(trace.per_iteration_metrics) == params.n_trading_iters
-    assert all(m.liquidity_ratio is None for m in trace.per_iteration_metrics)
+    assert trace.fills == []
+    assert day.n_trades == 0 and day.traded_shares == 0
 
 
 def _scn_iteration_snapshots_walk():
@@ -401,7 +406,7 @@ def _scn_iteration_snapshots_walk():
     # each of the first 10 iterations, then the floor hits zero
     pop = [_agent(0, PB, 0, 3000), _agent(1, PS, 40, 0)]
     trace, day = run_day(pop, params, 9)
-    assert [m.traded_shares for m in trace.per_iteration_metrics] == [
+    assert traded_by_round(trace, params.n_trading_iters) == [
         min(k, 10) for k in range(1, 13)
     ]
     assert day.n_trades == 10 and day.traded_shares == 10

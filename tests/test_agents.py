@@ -29,12 +29,6 @@ BS = AgentKind.BUYER_SELLER
 # --- offer side -------------------------------------------------------------
 
 
-def test_ps_inactive_posts_nothing():
-    params = make_params(ps_offer_prob=0.0)
-    agent = make_agent(kind=PS, shares=100)
-    assert ps_decide(agent, params, make_rng(0)) is None
-
-
 def test_ps_without_shares_posts_nothing():
     params = make_params(ps_offer_prob=1.0)
     agent = make_agent(kind=PS, shares=0)
@@ -120,13 +114,6 @@ def test_accept_prob_saturates_without_overflow():
 def certain_buy_params(**overrides):
     # a price far enough under reference that the logistic saturates to 1.0
     return make_params(pb_trade_prob=1.0, **overrides)
-
-
-def test_pb_inactive_does_nothing():
-    book = OfferBook()
-    book.insert(make_offer(price=30.0, quantity=3, seller=1))
-    agent = make_agent(id=0, kind=PB, cash=100)
-    assert pb_decide(agent, book, make_params(pb_trade_prob=0.0), make_rng(0)) is None
 
 
 def test_pb_empty_book_does_nothing():

@@ -12,7 +12,14 @@ import pytest
 from conftest import make_population
 
 import fracmarket
-from fracmarket import load_population, save_population
+from fracmarket import (
+    METRIC_FIELDS,
+    ModelParams,
+    default_profile,
+    load_population,
+    save_population,
+    simulate_profile_day,
+)
 from fracmarket.cli import _build_params, main
 
 
@@ -49,6 +56,21 @@ def test_run_stdout_is_deterministic(capsys):
     assert out1 != out3
     for name in ("liquidity_ratio", "n_offers", "n_trades", "platform_revenue"):
         assert name in out1
+
+
+def test_run_prints_the_profile_day_of_its_seed(capsys):
+    # `run` splits its seed as simulate_profile_day does: generation stream
+    # first, day stream second
+    for seed in (0, 7):
+        code, out, _ = run_cli(capsys, "run", "--seed", str(seed))
+        assert code == 0
+        day = simulate_profile_day(default_profile(), ModelParams.baseline(), seed)
+        want = [
+            f"{name} {getattr(day, name):.3f}" if getattr(day, name) is not None
+            else f"{name} undefined"
+            for name in METRIC_FIELDS
+        ]
+        assert [" ".join(line.split()) for line in out.splitlines()] == want
 
 
 def test_run_trace_lines_match_trade_count(capsys, tmp_path, roster_csv):
@@ -251,6 +273,18 @@ SWEEP = "sweep --reps 2 --population {pop} --param"
         (f"{SWEEP} debit_exit_fee --values true", None, 0),
         ("calibrate --budget 1 --reps 1 --targets {cfg} --out {tmp}/p.json",
          [0.1, 60, 100, 4000, 500], 1),
+        ("gen-endowments --config {cfg} --out {tmp}/pop.csv", {"seed": "abc"}, 1),
+        ("gen-endowments --config {cfg} --out {tmp}/pop.csv", {"seed": -2}, 1),
+        ("batch --population {pop} --config {cfg}", {"reps": "many"}, 1),
+        ("batch --population {pop} --config {cfg}", {"reps": 2.5}, 1),
+        ("batch --population {pop} --reps 2 --config {cfg}", {"jobs": "two"}, 1),
+        ("calibrate --reps 1 --config {cfg} --out {tmp}/p.json", {"budget": 1.5}, 1),
+        ("run --seed -1", None, 1),
+        ("gen-endowments --config {cfg} --out {tmp}/pop.csv",
+         {"profile": {**default_profile().to_json_dict(), "n_pb": "x"}}, 1),
+        ("gen-endowments --config {cfg} --out {tmp}/pop.csv",
+         {"profile": {**default_profile().to_json_dict(),
+                      "cash_dist_pb": {"family": "constant", "value": "abc"}}}, 1),
     ],
 )
 def test_bad_input_exits_1_with_one_line(

@@ -259,6 +259,39 @@ def test_profile_missing_key_rejected():
         EndowmentProfile.from_json_dict({"n_pb": 3})
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("n_pb", "x", "n_pb='x' is not a number"),
+        ("n_ps", 2.5, "n_ps=2.5 is not an integer"),
+        ("n_bs", "7.2", "n_bs='7.2' is not an integer"),
+        ("n_bs", True, "n_bs=True is not a number"),
+        ("ps_holder_frac", "most", "ps_holder_frac='most' is not a number"),
+        ("cash_floor", "inf", "cash_floor=inf"),
+        ("share_dist_ps", {"family": "constant", "value": "abc"},
+         "share_dist_ps: value='abc' is not a number"),
+        ("cash_dist_bs", {"family": "lognormal-rounded", "mu": 1, "sigma": [1]},
+         r"cash_dist_bs: sigma=\[1\] is not a number"),
+        ("share_dist_bs", {"family": "uniform-integer", "lo": "nan", "hi": 3},
+         "share_dist_bs: .*not finite"),
+        ("cash_dist_pb", 5, "cash_dist_pb: distribution spec 5 lacks a family"),
+    ],
+)
+def test_profile_bad_value_names_its_key(key, value, message):
+    d = small_profile().to_json_dict()
+    d[key] = value
+    with pytest.raises(ConfigError, match=message):
+        EndowmentProfile.from_json_dict(d)
+
+
+def test_profile_counts_parse_integral_values_exactly():
+    d = small_profile().to_json_dict()
+    d.update(n_pb="12", n_ps=4.0)
+    prof = EndowmentProfile.from_json_dict(d)
+    assert (prof.n_pb, prof.n_ps) == (12, 4)
+    assert type(prof.n_ps) is int
+
+
 # --- calibration ------------------------------------------------------------
 
 

@@ -16,7 +16,8 @@ from fracmarket import (
     run_trading,
 )
 
-from conftest import make_agent, make_params, make_population
+import fracmarket.engine as engine
+from conftest import make_agent, make_params, make_population, traded_by_round
 
 PS = AgentKind.PURE_SELLER
 PB = AgentKind.PURE_BUYER
@@ -64,6 +65,55 @@ def test_trading_with_no_buyers_fills_nothing():
     assert len(trace.offers_entered) == 4
 
 
+def test_inactive_sellers_post_nothing():
+    # activation is the engine's: with ps_offer_prob 0 no pure seller posts,
+    # while every buyer-seller (probability 1) does
+    pop = make_population(n_ps=6, n_bs=4, shares=10)
+    params = make_params(ps_offer_prob=0.0, bs_offer_prob=1.0)
+    for seed in range(5):
+        book = run_pretrading(pop, params, make_rng(seed))
+        assert {o.seller for o in book.offers} == {a.id for a in pop if a.kind is BS}
+
+
+def test_inactive_pure_buyers_never_fill():
+    # pb_trade_prob 0: no pure buyer is ever activated, while the
+    # buyer-sellers still trade against the cheap offers
+    params = make_params(
+        ps_offer_prob=1.0, ps_price_lo=0.8, ps_price_hi=0.8,
+        pb_trade_prob=0.0, bs_trade_prob=1.0,
+    )
+    bs_fills = 0
+    for seed in range(5):
+        pop = make_population(n_pb=20, n_ps=10, n_bs=5, shares=10, cash=1000)
+        trace, _ = run_day(pop, params, seed)
+        assert all(pop[ev.fill.buyer].kind is BS for ev in trace.fills)
+        bs_fills += len(trace.fills)
+    assert bs_fills > 0
+
+
+def test_run_day_calls_the_rules_through_the_engine(monkeypatch):
+    # the engine looks its rules up in its own namespace at call time; a
+    # wrapper put there sees every call (per-layer timing relies on this)
+    calls = {"pb_decide": 0, "ps_decide": 0}
+
+    def counting(name):
+        rule = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return rule(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, counting(name))
+    pop = make_population(n_pb=10, n_ps=5, shares=10, cash=500)
+    params = make_params(ps_offer_prob=1.0, pb_trade_prob=1.0)
+    run_day(pop, params, 3)
+    assert calls["ps_decide"] == 5
+    assert calls["pb_decide"] == 10 * params.n_trading_iters
+
+
 def test_trading_prob_zero_fills_nothing():
     pop = make_population(n_pb=10, n_ps=4, shares=10, cash=1000)
     params = make_params(ps_offer_prob=1.0, pb_trade_prob=0.0, bs_trade_prob=0.0)
@@ -105,7 +155,8 @@ def test_run_day_is_deterministic():
     assert day_a == day_b
     assert trace_a.offers_entered == trace_b.offers_entered
     assert trace_a.fills == trace_b.fills
-    assert trace_a.per_iteration_metrics == trace_b.per_iteration_metrics
+    n = params.n_trading_iters
+    assert traded_by_round(trace_a, n) == traded_by_round(trace_b, n)
     assert all(x.cash == y.cash and x.shares == y.shares for x, y in zip(pop_a, pop_b))
 
 
@@ -157,18 +208,22 @@ def test_run_day_empty_population():
     assert day.offered_shares == 0
     assert day.n_trades == 0
     assert day.liquidity_ratio is None
-    assert trace.per_iteration_metrics[-1].liquidity_ratio is None
+    assert trace.offers_entered == [] and trace.fills == []
 
 
-def test_per_iteration_metrics_accumulate():
+def test_per_round_totals_accumulate():
     pop = make_population(n_pb=40, n_ps=20, n_bs=10, shares=12, cash=500)
     params = make_params(pb_trade_prob=0.5, ps_offer_prob=0.8)
     trace, day = run_day(pop, params, 23)
-    per = trace.per_iteration_metrics
-    assert len(per) == params.n_trading_iters
-    traded = [m.traded_shares for m in per]
+    rounds = [ev.iteration for ev in trace.fills]
+    assert rounds == sorted(rounds)
+    assert set(rounds) <= set(range(1, params.n_trading_iters + 1))
+    assert len(set(rounds)) > 1  # otherwise the accumulation is vacuous
+    traded = traded_by_round(trace, params.n_trading_iters)
+    assert len(traded) == params.n_trading_iters
     assert traded == sorted(traded)
-    assert per[-1] == day
+    assert traded[-1] == day.traded_shares
+    assert len(rounds) == day.n_trades
 
 
 def test_no_self_trades_and_bs_buys_below_reference():

@@ -42,7 +42,6 @@ def trace_with(book: OfferBook, fills: list[TradeFill]) -> DayTrace:
     return DayTrace(
         offers_entered=[o.copy() for o in book.offers],
         fills=[FillEvent(1, f) for f in fills],
-        per_iteration_metrics=[],
     )
 
 
