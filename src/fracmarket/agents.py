@@ -10,14 +10,28 @@ seed:
   against the acceptance probability (nothing on an empty book);
 * buyer-seller buy rule: one without-replacement index sample over the
   below-reference offers (skipped when the whole candidate set is taken).
+
+Cash is stored as a `Fraction`, but settlement computes on raw integers:
+the numerators and denominators of the cash balances and of the float
+prices and rates (`float.as_integer_ratio`, exact). Every guard is an
+integer cross-product, and each resulting `Fraction` (the two new
+balances, the notional, the fee, the purchase budget) is built once.
+
+Before the exact budget test, a float gate rejects a buyer whose budget
+`ratio * float(cash)` falls short of the offer's price by more than a
+relative 1e-9 (plus an absolute 1e-300 for underflow). The float budget
+is within a relative 2**-52 of the exact one, seven orders of magnitude
+inside that margin, so the gate only rejects what the exact test would
+reject; every other case, and cash too large for a float, goes on to the
+exact test. Results are the same as with exact arithmetic alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .core import AgentState, ContractViolation, ModelParams, Offer, OfferBook, Rng
 
@@ -110,8 +124,10 @@ def pb_accept_prob(price: float, params: ModelParams) -> float:
     return 1.0 / (1.0 + math.exp(x))
 
 
-# float -> exact rational, cached; ratios and fee rates recur constantly
-_frac = lru_cache(maxsize=256)(Fraction)
+# the float gate in _budget_fill rejects only budgets below price * _GATE -
+# _UNDERFLOW; see the module docstring for why that is safe
+_GATE = 1.0 - 1e-9
+_UNDERFLOW = 1e-300
 
 
 def _budget_fill(
@@ -119,16 +135,21 @@ def _budget_fill(
 ) -> TradeFill | None:
     """Fill `offer` as far as agent's budget ratio allows; None if < 1 unit.
 
-    The budget is ratio * cash, exactly; comparisons and the floor run on
-    raw integers so no exactness is lost and no rationals are built on the
-    rejection path.
+    The budget is ratio * cash, exactly. A float gate rejects budgets
+    clearly below one share; the rest is decided on raw integers, so no
+    exactness is lost and no rationals are built on a rejection path.
     """
-    r = _frac(ratio)
-    cash = agent.cash
-    bn = r.numerator * cash.numerator  # budget = bn / bd, unnormalized
-    bd = r.denominator * cash.denominator
-    price = offer.price_exact
-    pn, pd = price.numerator, price.denominator
+    cn, cd = agent.cash.numerator, agent.cash.denominator
+    price = offer.price
+    try:
+        if ratio * (cn / cd) < price * _GATE - _UNDERFLOW:  # cn / cd == float(cash)
+            return None
+    except OverflowError:
+        pass  # cash beyond float range: the exact test decides
+    rn, rd = ratio.as_integer_ratio()
+    bn = rn * cn  # budget = bn / bd, unnormalized
+    bd = rd * cd
+    pn, pd = price.as_integer_ratio()
     qty = offer.quantity
     if bn * pd >= pn * qty * bd:  # budget >= price * qty
         units = qty
@@ -139,9 +160,9 @@ def _budget_fill(
     return TradeFill(
         buyer=agent.id,
         seller=offer.seller,
-        price=offer.price,
+        price=price,
         units=units,
-        notional=price * units,
+        notional=Fraction(pn * units, pd),
         purchase_budget=Fraction(bn, bd),
     )
 
@@ -177,20 +198,21 @@ def bs_buy_decide(
     bs_purchase_ratio of its cash as in pb_decide. Bargain hunting: there
     is no acceptance lottery.
     """
-    p_ref = params.p_ref
-    own = agent.id
-    candidates = [o for o in book.offers if o.price < p_ref and o.seller != own]
+    candidates = book.below(params.p_ref, without=agent.id)
     if not candidates:
         return None
     k = params.bs_search_len
     if k < len(candidates):
         # uniform sample without replacement via a partial shuffle
         idx = rng.permutation(len(candidates))[:k]
-        sample = [candidates[int(i)] for i in idx]
+        sample = [candidates[i] for i in idx.tolist()]
     else:
         sample = candidates  # whole set inspected, no draw consumed
-    best = min(sample, key=lambda o: (o.price, o.entry_order))
+    best = min(sample, key=_PRICE_ENTRY)
     return _budget_fill(agent, best, params.bs_purchase_ratio)
+
+
+_PRICE_ENTRY = operator.attrgetter("price", "entry_order")
 
 
 def settle_fill(
@@ -218,9 +240,12 @@ def settle_fill(
     if fill.units < 1:
         raise ContractViolation("fill of zero units")
     notional = fill.notional
-    if notional != offer.price_exact * fill.units:
+    nn, nd = notional.numerator, notional.denominator
+    pn, pd = offer.price.as_integer_ratio()
+    if nn * pd != pn * fill.units * nd:
         raise ContractViolation("fill notional does not equal price * units")
-    if buyer.cash < notional:
+    cash = buyer.cash
+    if cash.numerator * nd < nn * cash.denominator:
         raise ContractViolation("buyer cannot cover the notional")
     if seller.shares < fill.units:
         raise ContractViolation("seller does not hold the filled units")
@@ -234,11 +259,24 @@ def _transfer(
 ) -> Fraction:
     """Move the fill's shares to the buyer and its notional to the seller,
     less the exit fee when debit_exit_fee is set; returns the fee. Shared by
-    live settlement and replay, so both land on the same exact balances."""
-    notional = fill.notional
-    fee = _frac(params.exit_fee_rate) * notional
+    live settlement and replay, so both land on the same exact balances.
+
+    With notional n/d and fee rate f/g, the fee is nf/(dg), the buyer's
+    cash c/e becomes (cd - ne)/(ed), and the seller's s/t becomes
+    (sd + nt)/(td), or (sdg + n(g - f)t)/(tdg) when the fee is debited.
+    """
+    nn, nd = fill.notional.numerator, fill.notional.denominator
+    fn, fd = params.exit_fee_rate.as_integer_ratio()
     buyer.shares += fill.units
-    buyer.cash -= notional
+    c = buyer.cash
+    buyer.cash = Fraction(c.numerator * nd - nn * c.denominator, c.denominator * nd)
     seller.shares -= fill.units
-    seller.cash += notional - fee if params.debit_exit_fee else notional
-    return fee
+    c = seller.cash
+    if params.debit_exit_fee:
+        seller.cash = Fraction(
+            c.numerator * nd * fd + nn * (fd - fn) * c.denominator,
+            c.denominator * nd * fd,
+        )
+    else:
+        seller.cash = Fraction(c.numerator * nd + nn * c.denominator, c.denominator * nd)
+    return Fraction(nn * fn, nd * fd)

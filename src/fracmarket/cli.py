@@ -30,6 +30,7 @@ from .core import (
     MarketError,
     ModelParams,
     as_number,
+    as_seed,
     make_rng,
 )
 from .endowments import (
@@ -182,10 +183,7 @@ def _int_setting(args, cfg: dict, name: str, default: int) -> int:
 
 
 def _seed(args, cfg: dict) -> int:
-    seed = _int_setting(args, cfg, "seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed={seed} must not be negative")
-    return seed
+    return as_seed(_int_setting(args, cfg, "seed", 0))
 
 
 def _fmt3(v) -> str:

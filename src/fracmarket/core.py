@@ -6,19 +6,27 @@ then accept offers, fully or partially, over a fixed number of trading
 iterations. Buyers cannot post bids, and offers that remain unmatched at the
 end of a trading day are deleted, so no order state survives across days.
 
-Cash is kept as an exact rational (`fractions.Fraction`) so that settlement
+Cash is stored as an exact rational (`fractions.Fraction`) so that settlement
 conserves money exactly: every binary float is a dyadic rational and converts
 without loss, which lets conservation checks use equality instead of
-tolerances. Offer prices stay ordinary floats.
+tolerances. Offer prices stay ordinary floats. Settlement computes on the
+raw integer numerators and denominators (a float price through
+`float.as_integer_ratio`) and builds each resulting `Fraction` once. Only
+the budget check first looks at floats: it skips the exact test when the
+float budget is below the price by more than a relative 1e-9, far beyond
+float rounding (about 2e-16), so it never rejects an affordable share;
+see `agents`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import numbers
 import typing
-from dataclasses import dataclass, field, fields, replace
+from bisect import bisect_left
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -37,6 +45,7 @@ __all__ = [
     "OfferBook",
     "Rng",
     "as_number",
+    "as_seed",
     "make_rng",
 ]
 
@@ -106,7 +115,7 @@ class AgentState:
             self.cash = Fraction(self.cash)
         if self.shares < 0:
             raise ContractViolation(f"agent {self.id}: negative shares {self.shares}")
-        if self.cash < 0:
+        if self.cash.numerator < 0:
             raise ContractViolation(f"agent {self.id}: negative cash {self.cash}")
 
     def copy(self) -> "AgentState":
@@ -119,20 +128,17 @@ class Offer:
 
     `entry_order` is assigned by the book at insertion and is unique within a
     day; ties between equally priced offers are broken in favour of the
-    earlier entry. `price_exact` caches the exact rational value of the float
-    price for settlement arithmetic.
+    earlier entry.
     """
 
     price: float
     quantity: int
     seller: AgentId
     entry_order: int = -1
-    price_exact: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.price = float(self.price)
         self.quantity = int(self.quantity)
-        self.price_exact = Fraction(self.price)
 
     def copy(self) -> "Offer":
         out = Offer(self.price, self.quantity, self.seller)
@@ -147,15 +153,19 @@ class OfferBook:
     one live offer per seller and hands out monotonically increasing entry
     numbers so that price ties always resolve the same way. `offers` keeps
     the live offers in entry order; `_by_seller` indexes the same objects by
-    seller.
+    seller, and `below(p_ref)` lists those priced below a reference price.
     """
 
-    __slots__ = ("offers", "_by_seller", "_next_entry")
+    __slots__ = ("offers", "_by_seller", "_next_entry", "_below", "_below_ref")
 
     def __init__(self) -> None:
         self.offers: list[Offer] = []
         self._by_seller: dict[AgentId, Offer] = {}
         self._next_entry = 0
+        # the live offers priced below _below_ref, in entry order; built by
+        # the first below() call, then kept current by insert and apply_fill
+        self._below: list[Offer] = []
+        self._below_ref = -math.inf
 
     def __len__(self) -> int:
         return len(self.offers)
@@ -183,10 +193,29 @@ class OfferBook:
         self._next_entry += 1
         self.offers.append(offer)
         self._by_seller[offer.seller] = offer
+        if offer.price < self._below_ref:
+            self._below.append(offer)
         return offer
 
     def find(self, seller: AgentId) -> Offer | None:
         return self._by_seller.get(seller)
+
+    def below(self, p_ref: float, without: AgentId | None = None) -> list[Offer]:
+        """The live offers priced strictly below `p_ref`, in entry order,
+        leaving out the offer of seller `without` if it is one of them.
+
+        Without a cut the list is the book's own index, kept current as
+        offers enter and are used up; callers must not modify it. Asking
+        for another reference price rebuilds it.
+        """
+        if p_ref != self._below_ref:
+            self._below = [o for o in self.offers if o.price < p_ref]
+            self._below_ref = p_ref
+        own = self._by_seller.get(without)
+        if own is None or not own.price < p_ref:
+            return self._below
+        pos = bisect_left(self._below, own.entry_order, key=_ENTRY)
+        return self._below[:pos] + self._below[pos + 1 :]
 
     def apply_fill(self, seller: AgentId, units: int) -> Offer:
         """Consume `units` shares from the live offer of `seller`.
@@ -204,17 +233,27 @@ class OfferBook:
             )
         offer.quantity -= units
         if offer.quantity == 0:
-            self.offers.remove(offer)
+            # both lists are in entry order, so a used-up offer is found by
+            # bisection on its entry number
+            del self.offers[bisect_left(self.offers, offer.entry_order, key=_ENTRY)]
+            if offer.price < self._below_ref:
+                del self._below[bisect_left(self._below, offer.entry_order, key=_ENTRY)]
             del self._by_seller[seller]
         return offer
 
     def snapshot(self) -> "OfferBook":
-        """Deep copy preserving entry numbers, for start-of-day records."""
+        """Deep copy preserving entry numbers, for start-of-day records.
+
+        The copy's below-reference index is built on its first `below` call.
+        """
         out = OfferBook()
         out.offers = [o.copy() for o in self.offers]
         out._by_seller = {o.seller: o for o in out.offers}
         out._next_entry = self._next_entry
         return out
+
+
+_ENTRY = operator.attrgetter("entry_order")
 
 
 @dataclass(frozen=True, slots=True)
@@ -387,6 +426,19 @@ def as_number(name: str, value, kind: type = float) -> float | int:
     if not x.is_integer():
         raise ConfigError(f"{name}={value!r} is not an integer")
     return int(value) if isinstance(value, numbers.Integral) else int(x)
+
+
+def as_seed(value, name: str = "seed") -> int:
+    """`value` as a master seed: a non-negative integer, a bool excluded.
+
+    The one check for the seeds the library hands to
+    `numpy.random.SeedSequence`, which would reject anything else with a
+    raw ValueError or TypeError. Raises ConfigError naming `name` and the
+    value.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0:
+        return int(value)
+    raise ConfigError(f"{name}={value!r} must be a non-negative integer")
 
 
 _FLAG_WORDS = {"true": True, "false": False, "1": True, "0": False}

@@ -35,6 +35,7 @@ from .core import (
     ModelParams,
     Rng,
     as_number,
+    as_seed,
     make_rng,
 )
 from .engine import run_day
@@ -271,35 +272,40 @@ def generate_population(profile: EndowmentProfile, rng: Rng) -> list[AgentState]
     uniforms, buyer-seller shares, buyer-seller cash.
     """
     profile.validate()
-    agents: list[AgentState] = []
-    next_id = 0
-
     cash_pb = _cash_values(profile.cash_dist_pb, profile.n_pb, profile.cash_floor, rng)
-    for i in range(profile.n_pb):
-        agents.append(AgentState(next_id, AgentKind.PURE_BUYER, 0, cash_pb[i]))
-        next_id += 1
-
     holder_ps = rng.random(profile.n_ps) < profile.ps_holder_frac
     shares_ps = _share_values(profile.share_dist_ps, profile.n_ps, rng)
-    for i in range(profile.n_ps):
-        s = shares_ps[i] if holder_ps[i] else 0
-        agents.append(AgentState(next_id, AgentKind.PURE_SELLER, s, Fraction(0)))
-        next_id += 1
-
     holder_bs = rng.random(profile.n_bs) < profile.bs_holder_frac
     shares_bs = _share_values(profile.share_dist_bs, profile.n_bs, rng)
     cash_bs = _cash_values(profile.cash_dist_bs, profile.n_bs, profile.cash_floor, rng)
-    for i in range(profile.n_bs):
-        s = shares_bs[i] if holder_bs[i] else 0
-        agents.append(AgentState(next_id, AgentKind.BUYER_SELLER, s, cash_bs[i]))
-        next_id += 1
 
-    return agents
+    kinds = (
+        [AgentKind.PURE_BUYER] * profile.n_pb
+        + [AgentKind.PURE_SELLER] * profile.n_ps
+        + [AgentKind.BUYER_SELLER] * profile.n_bs
+    )
+    held = np.concatenate(
+        (
+            np.zeros(profile.n_pb),
+            np.where(holder_ps, shares_ps, 0.0),
+            np.where(holder_bs, shares_bs, 0.0),
+        )
+    )
+    shares = [int(v) for v in held.tolist()]
+    cash = cash_pb + [_ZERO] * profile.n_ps + cash_bs
+    return [
+        AgentState(i, kind, s, c)
+        for i, (kind, s, c) in enumerate(zip(kinds, shares, cash))
+    ]
 
 
-def _share_values(dist: DistSpec, n: int, rng: Rng) -> list[int]:
-    vals = np.maximum(1.0, np.rint(dist.sample(n, rng)))
-    return [int(v) for v in vals]
+# Fractions are immutable, so every agent without cash can share this one
+_ZERO = Fraction(0)
+
+
+def _share_values(dist: DistSpec, n: int, rng: Rng) -> np.ndarray:
+    """Whole-number share holdings (at least 1) as floats."""
+    return np.maximum(1.0, np.rint(dist.sample(n, rng)))
 
 
 def _cash_values(
@@ -308,9 +314,7 @@ def _cash_values(
     vals = np.maximum(floor, dist.sample(n, rng))
     # rounded draws are whole numbers; the integer constructor is much
     # cheaper than the float one
-    return [
-        Fraction(int(v)) if v.is_integer() else Fraction(float(v)) for v in vals
-    ]
+    return [Fraction(int(v)) if v.is_integer() else Fraction(v) for v in vals.tolist()]
 
 
 # endowment CSV column layout; kind uses the short labels PS / PB / BS
@@ -408,8 +412,9 @@ def simulate_profile_day(
     The seed is split into a generation stream and a day stream, so the
     whole experiment is pinned by one seed.
     """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    gen_ss, day_ss = ss.spawn(2)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(as_seed(seed))
+    gen_ss, day_ss = seed.spawn(2)
     population = generate_population(profile, make_rng(gen_ss))
     _, day = run_day(population, params, day_ss)
     return day
@@ -518,6 +523,7 @@ def evaluate_profile(
     evaluated under the same seed share their randomness and compare with
     less noise. Returns (objective, mean metrics dict).
     """
+    seed = as_seed(seed)
     days = [
         simulate_profile_day(profile, params, np.random.SeedSequence(seed, spawn_key=(2, r)))
         for r in range(reps)
@@ -560,6 +566,7 @@ def calibrate_profile(
         raise ConfigError(f"search_budget={search_budget} must be at least 1")
     if reps < 1:
         raise ConfigError(f"reps={reps} must be at least 1")
+    seed = as_seed(seed)
     params = params if params is not None else ModelParams.baseline()
     params.validate()
     boxes = dict(DEFAULT_BOXES if boxes is None else boxes)

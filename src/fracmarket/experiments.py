@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import AgentState, ConfigError, ModelParams
+from .core import AgentState, ConfigError, ModelParams, as_seed
 from .endowments import EndowmentProfile, load_population, simulate_profile_day
 from .engine import run_day
 from .metrics import METRIC_FIELDS, AggregateMetrics, DayMetrics, aggregate
@@ -155,6 +155,7 @@ def run_batch(
     has id `i`, or ConfigError is raised. Output is independent of `jobs`.
     """
     params.validate()
+    master_seed = as_seed(master_seed, "master_seed")
     if reps < 1:
         raise ConfigError(f"reps={reps} must be at least 1")
     if jobs < 1:
@@ -195,6 +196,7 @@ class SweepSpec:
             raise ConfigError("sweep has no values")
         if self.reps < 1:
             raise ConfigError(f"reps={self.reps} must be at least 1")
+        as_seed(self.master_seed, "master_seed")
         # applying every value up front surfaces bad ones before any
         # simulation has run
         for v in self.values:

@@ -64,13 +64,16 @@ def compute_day_metrics(
 
     `book_initial` must be the start-of-day book (post offer entry, before
     any fill); offered quantities are read from it, traded quantities from
-    the trace. Notional sums are carried out exactly before conversion.
+    the trace. Notional sums are carried out exactly before conversion: in
+    integers over the notionals' common denominator, as one Fraction.
     """
     n_offers = len(book_initial.offers)
     offered = sum(o.quantity for o in book_initial.offers)
     n_trades = len(trace.fills)
     traded = sum(ev.fill.units for ev in trace.fills)
-    notional = sum((ev.fill.notional for ev in trace.fills), Fraction(0))
+    notionals = [ev.fill.notional for ev in trace.fills]
+    den = math.lcm(*(x.denominator for x in notionals))
+    notional = Fraction(sum(x.numerator * (den // x.denominator) for x in notionals), den)
     revenue = Fraction(params.exit_fee_rate) * notional
     return DayMetrics(
         n_offers=n_offers,

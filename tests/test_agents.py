@@ -1,8 +1,11 @@
 """Decision rules: offer posting, acceptance, budget fills, settlement."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fracmarket import (
     AgentKind,
@@ -18,6 +21,8 @@ from fracmarket import (
     ps_decide,
     settle_fill,
 )
+
+from fracmarket.agents import _budget_fill
 
 from conftest import make_agent, make_offer, make_params
 
@@ -178,6 +183,71 @@ def test_pb_budget_floor_matches_exact_arithmetic():
             assert fill.units == exact_units
             assert fill.notional == Fraction(price) * exact_units
             assert fill.notional <= budget or fill.units == qty
+
+
+# --- the float gate before the exact budget test ----------------------------
+
+
+def _exact_units(cash: Fraction, ratio: float, price: float, qty: int) -> int:
+    return min(qty, math.floor(Fraction(ratio) * cash / Fraction(price)))
+
+
+# at the last two, ratio * float(cash) rounds to just below the price even
+# though the exact budget equals it: a gate without a margin would reject
+AT_THE_PRICE = [(37.3, 1.0), (37.3, 0.566), (83.92, 0.561), (9.09, 0.274)]
+
+
+@pytest.mark.parametrize("price, ratio", AT_THE_PRICE)
+def test_budget_exactly_at_the_price_buys_one_share(price, ratio):
+    cash = Fraction(price) / Fraction(ratio)  # budget == price, exactly
+    fill = _budget_fill(make_agent(cash=cash), make_offer(price=price, quantity=3), ratio)
+    assert fill is not None and fill.units == 1
+    assert fill.purchase_budget == Fraction(price)
+
+
+@pytest.mark.parametrize("price, ratio", AT_THE_PRICE)
+def test_budget_one_float_step_below_the_price_buys_nothing(price, ratio):
+    short = Fraction(math.nextafter(price, 0.0))
+    cash = short / Fraction(ratio)  # budget one representable step short
+    assert _budget_fill(make_agent(cash=cash), make_offer(price=price, quantity=3), ratio) is None
+
+
+def test_cash_beyond_float_range_is_decided_exactly():
+    cash = Fraction(10**400)
+    fill = _budget_fill(make_agent(cash=cash), make_offer(price=37.3, quantity=3), 0.5)
+    assert fill is not None and fill.units == 3
+    assert fill.purchase_budget == Fraction(0.5) * cash
+    tiny = Fraction(1, 10**400)  # the float of this budget underflows to 0
+    assert _budget_fill(make_agent(cash=tiny), make_offer(price=37.3, quantity=3), 1.0) is None
+
+
+def test_zero_ratio_buys_nothing():
+    offer = make_offer(price=0.01, quantity=3)
+    assert _budget_fill(make_agent(cash=10**6), offer, 0.0) is None
+
+
+@given(
+    price=st.floats(1e-3, 1e4),
+    ratio=st.floats(0.0, 1.0),
+    qty=st.integers(1, 20),
+    units=st.integers(0, 25),
+    nudge=st.integers(-3, 3),
+    den=st.sampled_from([1, 100, 2**40, 3 * 10**7]),
+)
+def test_budget_fill_equals_the_exact_rule_near_every_boundary(price, ratio, qty, units, nudge, den):
+    # cash puts the budget at `units` shares, nudged by a few units of 1/den
+    if ratio == 0.0:
+        cash = Fraction(abs(nudge), den)
+    else:
+        cash = max(Fraction(0), Fraction(price) * units / Fraction(ratio) + Fraction(nudge, den))
+    fill = _budget_fill(make_agent(cash=cash), make_offer(price=price, quantity=qty), ratio)
+    want = _exact_units(cash, ratio, price, qty)
+    if want < 1:
+        assert fill is None
+    else:
+        assert fill is not None and fill.units == want
+        assert fill.notional == Fraction(price) * want
+        assert fill.purchase_budget == Fraction(ratio) * cash
 
 
 # --- buyer-seller buy side --------------------------------------------------

@@ -131,6 +131,80 @@ def test_random_op_sequences_keep_book_consistent():
             assert {o.seller: o.quantity for o in book.offers} == live_qty
 
 
+# --- the below-reference index and removal by entry order -------------------
+
+# prices on a coarse grid around the reference, so ties and offers priced
+# exactly at p_ref (never below it) are common
+_BOOK_OPS = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.integers(0, 15),
+        st.sampled_from([40.0, 45.5, 49.999, 50.0, 50.001, 55.0]),
+        st.integers(1, 4),
+    ),
+    max_size=80,
+)
+
+
+def _below(book: OfferBook, p_ref: float) -> list:
+    return [o for o in book.offers if o.price < p_ref]
+
+
+def _same_objects(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+@given(ops=_BOOK_OPS, early=st.booleans())
+def test_below_index_tracks_random_inserts_and_fills(ops, early):
+    # the index is either built before the first insert (and kept current
+    # from then on) or built late, from a book that already holds offers
+    p_ref = 50.0
+    book = OfferBook()
+    if early:
+        assert book.below(p_ref) == []
+    for is_fill, seller, price, qty in ops:
+        live = book.find(seller)
+        if is_fill and live is not None:
+            book.apply_fill(seller, min(qty, live.quantity))
+        elif not is_fill and live is None:
+            book.insert(make_offer(price=price, quantity=qty, seller=seller))
+        if early:
+            assert _same_objects(book.below(p_ref), _below(book, p_ref))
+    assert _same_objects(book.below(p_ref), _below(book, p_ref))
+    # leaving one seller out cuts that seller's offer and leaves the index whole
+    for seller in [o.seller for o in book.offers] + [-1]:
+        cut = [o for o in _below(book, p_ref) if o.seller != seller]
+        assert _same_objects(book.below(p_ref, without=seller), cut)
+        assert _same_objects(book.below(p_ref), _below(book, p_ref))
+    snap = book.snapshot()
+    assert _same_objects(snap.below(p_ref), _below(snap, p_ref))
+    # the snapshot's index holds its own copies, and a fill on the book
+    # leaves it alone
+    assert not any(x is y for x in snap.below(p_ref) for y in book.offers)
+    for o in list(book.below(p_ref)):
+        book.apply_fill(o.seller, o.quantity)
+    assert book.below(p_ref) == [] and _below(book, p_ref) == []
+    assert _same_objects(snap.below(p_ref), _below(snap, p_ref))
+    # another reference price gives that price's list
+    assert _same_objects(snap.below(55.0), _below(snap, 55.0))
+
+
+def test_used_up_offers_are_removed_by_entry_order():
+    book = OfferBook()
+    offers = [book.insert(make_offer(price=40.0, quantity=2, seller=s)) for s in range(8)]
+    book.below(50.0)
+    for used_up, seller in enumerate((5, 0, 7, 3)):
+        book.apply_fill(seller, 1)  # a partial fill removes nothing
+        assert len(book) == 8 - used_up
+        book.apply_fill(seller, 1)
+        assert len(book) == 7 - used_up
+    left = [1, 2, 4, 6]
+    assert _same_objects(book.offers, [offers[i] for i in left])
+    assert _same_objects(book.below(50.0), [offers[i] for i in left])
+    assert [o.entry_order for o in book.offers] == left
+    assert all(book.find(s) is None for s in (0, 3, 5, 7))
+
+
 def test_agent_state_rejects_negative_balances():
     with pytest.raises(ContractViolation):
         AgentState(0, AgentKind.PURE_BUYER, -1, Fraction(0))

@@ -312,6 +312,15 @@ def test_evaluate_profile_self_targets_give_zero_objective():
     assert obj2 == 0.0
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_calibration_rejects_a_bad_seed(seed):
+    targets = CalibrationTargets(0.1, 1, 1, 1, 1)
+    with pytest.raises(ConfigError, match=rf"seed={seed!r} must be a non-negative integer"):
+        evaluate_profile(small_profile(), targets, ModelParams.baseline(), reps=1, seed=seed)
+    with pytest.raises(ConfigError, match=rf"seed={seed!r}"):
+        calibrate_profile(targets, 1, seed, reps=1)
+
+
 def test_calibrate_warm_start_never_loses_to_no_better_candidate():
     prof = small_profile(n_pb=40, n_ps=20, n_bs=10)
     params = ModelParams.baseline()

@@ -1,9 +1,11 @@
 """Day engine: phase structure, determinism, conservation, traces."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fracmarket import (
@@ -260,3 +262,68 @@ def test_run_day_validates_params_before_running():
 
     with pytest.raises(ConfigError):
         run_day(pop, make_params(pb_trade_prob=7.0), 0)
+
+
+# --- exact settlement digest --------------------------------------------------
+
+# SHA-256 of three consecutive days on a seeded 300-agent roster with cash
+# in whole cents and a debited fee: every fill (notional and purchase
+# budget as exact "n/d" strings), the day metrics, and every agent's
+# balances at the end of each day. The aggregate digest in
+# test_experiments only sees float means; this one pins the exact rational
+# settlement. A change of the arithmetic must leave it bit-identical.
+ROSTER_DIGEST = "7283843499b001dead0766fca8649e7cf5da34ba7b6cc00d49374ebc792b0c0d"
+
+
+def _cent_roster(seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    kinds = [PB] * 140 + [PS] * 100 + [BS] * 60
+    order = rng.permutation(len(kinds))
+    pop = []
+    for i in order.tolist():
+        kind = kinds[i]
+        shares = int(rng.integers(10, 120)) if kind.sells else 0
+        cents = int(rng.integers(20_000, 400_000)) if kind.buys else 0
+        pop.append(make_agent(len(pop), kind, shares, Fraction(cents, 100)))
+    return pop
+
+
+def _ratio(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def test_roster_settlement_digest_is_pinned():
+    pop = _cent_roster(2024)
+    params = make_params(
+        ps_offer_prob=0.5,
+        bs_offer_prob=0.5,
+        pb_trade_prob=0.3,
+        bs_trade_prob=0.3,
+        pb_purchase_ratio=0.1,
+        bs_purchase_ratio=0.1,
+        debit_exit_fee=True,
+    )
+    days = []
+    for d in range(3):
+        trace, day = run_day(pop, params, np.random.SeedSequence(77, spawn_key=(d,)))
+        days.append(
+            {
+                "fills": [
+                    [
+                        ev.iteration,
+                        ev.fill.buyer,
+                        ev.fill.seller,
+                        repr(ev.fill.price),
+                        ev.fill.units,
+                        _ratio(ev.fill.notional),
+                        _ratio(ev.fill.purchase_budget),
+                    ]
+                    for ev in trace.fills
+                ],
+                "metrics": repr(day),
+                "balances": [[a.shares, _ratio(a.cash)] for a in pop],
+            }
+        )
+    assert sum(len(d["fills"]) for d in days) > 300  # otherwise the pin is weak
+    record = json.dumps(days, sort_keys=True)
+    assert hashlib.sha256(record.encode()).hexdigest() == ROSTER_DIGEST

@@ -80,6 +80,27 @@ def test_golden_digest_is_pinned(jobs):
     assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN_DIGEST
 
 
+BAD_SEEDS = [-1, 1.5, True, "3", None]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_bad_master_seed_is_a_config_error_naming_it(seed):
+    profile = tiny_profile()
+    with pytest.raises(ConfigError, match=rf"master_seed={seed!r} must be a non-negative integer"):
+        run_batch(make_params(), profile, 2, seed)
+    with pytest.raises(ConfigError, match=rf"master_seed={seed!r}"):
+        run_sweep(SweepSpec("pb_trade_prob", (0.1,), reps=1, master_seed=seed), profile)
+    with pytest.raises(ConfigError, match=rf"seed={seed!r}"):
+        simulate_profile_day(profile, make_params(), seed)
+
+
+def test_numpy_integer_seed_is_accepted():
+    profile = tiny_profile()
+    assert run_batch(make_params(), profile, 2, np.int64(4)) == run_batch(
+        make_params(), profile, 2, 4
+    )
+
+
 def test_batch_is_deterministic():
     profile = tiny_profile()
     params = make_params()
