@@ -5,8 +5,7 @@ trades for one day. 200 repetitions keep this quick to run; the shipped
 reference statistics are quoted at 1000.
 """
 
-from fracmarket import ModelParams, default_profile, run_batch
-from fracmarket.endowments import DEFAULT_TARGETS
+from fracmarket import DEFAULT_TARGETS, ModelParams, default_profile, run_batch
 
 REPS = 200
 

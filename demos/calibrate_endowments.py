@@ -7,8 +7,7 @@ random search (the packaged profile was produced the same way, with a much
 larger budget) against the default targets.
 """
 
-from fracmarket import calibrate_profile
-from fracmarket.endowments import DEFAULT_TARGETS
+from fracmarket import DEFAULT_TARGETS, calibrate_profile
 
 # 15 candidates x 30 days each: a couple of minutes. The packaged profile
 # used budget 1200 and 200 days per candidate.

@@ -22,8 +22,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .core import (
     ConfigError,
     EndowmentError,
@@ -34,10 +32,8 @@ from .core import (
     make_rng,
 )
 from .endowments import (
-    DEFAULT_TARGETS,
-    CalibrationTargets,
     EndowmentProfile,
-    calibrate_profile,
+    _profile_streams,
     default_profile,
     generate_population,
     load_population,
@@ -47,7 +43,10 @@ from .endowments import (
 )
 from .engine import export_trace, run_day
 from .experiments import (
+    DEFAULT_TARGETS,
+    CalibrationTargets,
     SweepSpec,
+    calibrate_profile,
     run_batch,
     run_sweep,
     write_sweep_csv,
@@ -230,13 +229,12 @@ def _cmd_run(args) -> int:
     params = _build_params(cfg)
     source = _population_source(args, cfg)
     seed = _seed(args, cfg)
-    ss = np.random.SeedSequence(seed)
     if isinstance(source, EndowmentProfile):
-        gen_ss, day_ss = ss.spawn(2)
+        gen_ss, day_ss = _profile_streams(seed)
         population = generate_population(source, make_rng(gen_ss))
         trace, day = run_day(population, params, day_ss)
     else:
-        trace, day = run_day(source, params, ss)
+        trace, day = run_day(source, params, seed)
     trace_path = args.trace or cfg.get("trace")
     if trace_path:
         export_trace(trace, trace_path)
@@ -341,7 +339,7 @@ def _cmd_gen_endowments(args) -> int:
     cfg = _load_config(args.config)
     seed = _seed(args, cfg)
     profile = _profile(args, cfg)
-    population = generate_population(profile, make_rng(np.random.SeedSequence(seed)))
+    population = generate_population(profile, make_rng(seed))
     save_population(population, args.out)
     total_shares = sum(a.shares for a in population)
     total_cash = float(sum(a.cash for a in population))

@@ -58,7 +58,10 @@ Rng = np.random.Generator
 
 
 def make_rng(seed: int | np.random.SeedSequence) -> Rng:
-    """Return the generator used throughout the simulator (PCG64)."""
+    """Return the generator used throughout the simulator (PCG64). A seed
+    that is not a SeedSequence must pass `as_seed`."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = as_seed(seed)
     return np.random.default_rng(seed)
 
 
@@ -169,9 +172,6 @@ class OfferBook:
 
     def __len__(self) -> int:
         return len(self.offers)
-
-    def __iter__(self):
-        return iter(self.offers)
 
     def insert(self, offer: Offer) -> Offer:
         """Add `offer` to the book, assigning its entry number.

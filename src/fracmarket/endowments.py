@@ -1,4 +1,4 @@
-"""Population endowments: profiles, generation, file I/O and calibration.
+"""Population endowments: profiles, generation, file I/O and profile days.
 
 A population is a flat list of agents in three contiguous blocks (pure
 buyers, then pure sellers, then buyer-sellers) with dense ids. Initial
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,18 +39,13 @@ from .core import (
     make_rng,
 )
 from .engine import run_day
-from .metrics import DayMetrics, aggregate
+from .metrics import DayMetrics
 
 __all__ = [
-    "CalibrationTargets",
-    "DEFAULT_BOXES",
     "DEFAULT_PROFILE_RESOURCE",
-    "DEFAULT_TARGETS",
     "DistSpec",
     "EndowmentProfile",
-    "calibrate_profile",
     "default_profile",
-    "evaluate_profile",
     "generate_population",
     "load_population",
     "load_profile",
@@ -409,184 +404,21 @@ def simulate_profile_day(
 ) -> DayMetrics:
     """Generate a fresh population from `profile` and run one day.
 
-    The seed is split into a generation stream and a day stream, so the
-    whole experiment is pinned by one seed.
+    The seed is split into a generation stream and a day stream (see
+    `_profile_streams`), so the whole experiment is pinned by one seed.
     """
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(as_seed(seed))
-    gen_ss, day_ss = seed.spawn(2)
+    gen_ss, day_ss = _profile_streams(seed)
     population = generate_population(profile, make_rng(gen_ss))
     _, day = run_day(population, params, day_ss)
     return day
 
 
-@dataclass(frozen=True)
-class CalibrationTargets:
-    """Target day-metric means the calibrator steers towards."""
-
-    liquidity_ratio: float
-    n_offers: float
-    n_trades: float
-    offered_shares: float
-    traded_shares: float
-
-    FIELDS = ("liquidity_ratio", "n_offers", "n_trades", "offered_shares", "traded_shares")
-
-    def validate(self) -> None:
-        for name in self.FIELDS:
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v)):
-                raise ConfigError(f"target {name}={v!r} must be positive and finite")
-
-
-# reproduction targets for the default market configuration
-DEFAULT_TARGETS = CalibrationTargets(
-    liquidity_ratio=0.139,
-    n_offers=69.0,
-    n_trades=130.0,
-    offered_shares=4746.0,
-    traded_shares=614.28,
-)
-
-# Random-search boxes. Share holdings and cash are explored over lognormal
-# and heavy-tail families; the slot layout is <slot>_{mu,sigma} for the
-# lognormal candidate and <slot>_{shape,scale} for the pareto candidate.
-# Centers reflect the structure the targets impose: a couple hundred
-# share-holding sellers with skewed stakes, and buyer cash heavy-tailed
-# enough that the few who can afford shares at all can afford several.
-DEFAULT_BOXES: dict[str, tuple[float, float]] = {
-    "ps_holder_frac": (0.40, 0.64),
-    "bs_holder_frac": (0.60, 0.86),
-    "ps_share_mu": (3.2, 4.2),
-    "ps_share_sigma": (0.5, 1.2),
-    "ps_share_shape": (1.2, 2.4),
-    "ps_share_scale": (8.0, 35.0),
-    "bs_share_mu": (4.5, 5.6),
-    "bs_share_sigma": (0.7, 1.5),
-    "bs_share_shape": (1.1, 2.2),
-    "bs_share_scale": (40.0, 140.0),
-    "pb_cash_mu": (1.4, 2.6),
-    "pb_cash_sigma": (1.7, 2.7),
-    "pb_cash_shape": (1.05, 1.7),
-    "pb_cash_scale": (2.0, 15.0),
-    "bs_cash_mu": (1.8, 3.0),
-    "bs_cash_sigma": (1.8, 2.8),
-    "bs_cash_shape": (1.05, 1.7),
-    "bs_cash_scale": (3.0, 20.0),
-}
-
-_SLOT_FIELDS = {
-    "ps_share": "share_dist_ps",
-    "bs_share": "share_dist_bs",
-    "pb_cash": "cash_dist_pb",
-    "bs_cash": "cash_dist_bs",
-}
-
-
-def _sample_candidate(boxes: dict[str, tuple[float, float]], rng: Rng) -> EndowmentProfile:
-    """One uniform draw from the boxes; each slot also flips its family."""
-
-    def u(name: str) -> float:
-        lo, hi = boxes[name]
-        return float(rng.uniform(lo, hi))
-
-    dists: dict[str, DistSpec] = {}
-    for slot, fieldname in _SLOT_FIELDS.items():
-        lognormal = rng.random() < 0.5
-        if lognormal:
-            dists[fieldname] = DistSpec(
-                "lognormal-rounded", {"mu": u(f"{slot}_mu"), "sigma": u(f"{slot}_sigma")}
-            )
-        else:
-            dists[fieldname] = DistSpec(
-                "pareto-rounded", {"shape": u(f"{slot}_shape"), "scale": u(f"{slot}_scale")}
-            )
-    return EndowmentProfile(
-        ps_holder_frac=u("ps_holder_frac"),
-        bs_holder_frac=u("bs_holder_frac"),
-        **dists,
+def _profile_streams(seed: int | np.random.SeedSequence) -> tuple[np.random.SeedSequence, ...]:
+    """Children 0 and 1 of `seed`: a profile day's generation and day streams.
+    They are the first two children a fresh sequence spawns, but `seed` does
+    not advance, so one sequence always gives one day."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(as_seed(seed))
+    return tuple(
+        np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size)
+        for i in (0, 1)
     )
-
-
-def evaluate_profile(
-    profile: EndowmentProfile,
-    targets: CalibrationTargets,
-    params: ModelParams,
-    reps: int,
-    seed: int,
-    weights: dict[str, float] | None = None,
-) -> tuple[float, dict[str, float]]:
-    """Mean day metrics of `profile` over `reps` days and their weighted
-    squared relative error against `targets`.
-
-    Evaluation seeds depend only on (seed, rep), so different profiles
-    evaluated under the same seed share their randomness and compare with
-    less noise. Returns (objective, mean metrics dict).
-    """
-    seed = as_seed(seed)
-    days = [
-        simulate_profile_day(profile, params, np.random.SeedSequence(seed, spawn_key=(2, r)))
-        for r in range(reps)
-    ]
-    agg = aggregate(days)
-    sim = {name: agg.mean(name) for name in CalibrationTargets.FIELDS}
-    if sim["liquidity_ratio"] is None:
-        return math.inf, {k: (v if v is not None else math.nan) for k, v in sim.items()}
-    w = weights or {}
-    obj = 0.0
-    for name in CalibrationTargets.FIELDS:
-        t = getattr(targets, name)
-        obj += w.get(name, 1.0) * ((sim[name] - t) / t) ** 2
-    return obj, sim
-
-
-def calibrate_profile(
-    targets: CalibrationTargets,
-    search_budget: int,
-    seed: int,
-    *,
-    params: ModelParams | None = None,
-    reps: int = 200,
-    boxes: dict[str, tuple[float, float]] | None = None,
-    initial: Sequence[EndowmentProfile] = (),
-    weights: dict[str, float] | None = None,
-    progress: Callable[[int, float, float], None] | None = None,
-) -> tuple[EndowmentProfile, float]:
-    """Random-search calibration of an endowment profile.
-
-    Evaluates `search_budget` candidate profiles (any in `initial` first,
-    then uniform draws from `boxes`) against `targets`, each over `reps`
-    simulated days with common random numbers, and returns the best profile
-    with its achieved objective. Deterministic in (seed, budget, reps); ties
-    keep the earliest candidate. `progress`, if given, is called after each
-    candidate with (index, objective, best_so_far).
-    """
-    targets.validate()
-    if search_budget < 1:
-        raise ConfigError(f"search_budget={search_budget} must be at least 1")
-    if reps < 1:
-        raise ConfigError(f"reps={reps} must be at least 1")
-    seed = as_seed(seed)
-    params = params if params is not None else ModelParams.baseline()
-    params.validate()
-    boxes = dict(DEFAULT_BOXES if boxes is None else boxes)
-    missing = [k for k in DEFAULT_BOXES if k not in boxes]
-    if missing:
-        raise ConfigError(f"boxes missing entries: {missing}")
-
-    cand_rng = make_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    best: EndowmentProfile | None = None
-    best_obj = math.inf
-    for idx in range(search_budget):
-        if idx < len(initial):
-            candidate = initial[idx]
-            candidate.validate()
-        else:
-            candidate = _sample_candidate(boxes, cand_rng)
-        obj, _ = evaluate_profile(candidate, targets, params, reps, seed, weights)
-        if obj < best_obj:
-            best, best_obj = candidate, obj
-        if progress is not None:
-            progress(idx, obj, best_obj)
-    assert best is not None
-    return best, best_obj

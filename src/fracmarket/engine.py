@@ -173,7 +173,7 @@ def run_day(
 
 def replay_fills(
     population: list[AgentState],
-    fills: Iterable[FillEvent | TradeFill],
+    fills: Iterable[FillEvent],
     params: ModelParams,
 ) -> None:
     """Apply recorded fills to `population` in order, without a book.
@@ -182,7 +182,7 @@ def replay_fills(
     against the initial balances lands on the final balances exactly.
     """
     for ev in fills:
-        fill = ev.fill if isinstance(ev, FillEvent) else ev
+        fill = ev.fill
         _transfer(fill, population[fill.buyer], population[fill.seller], params)
 
 

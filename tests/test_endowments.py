@@ -1,5 +1,7 @@
 """Endowment distributions, population generation, file I/O, calibration."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from fracmarket import (
     AgentKind,
+    DEFAULT_TARGETS,
     CalibrationTargets,
     ConfigError,
     DistSpec,
@@ -14,6 +17,7 @@ from fracmarket import (
     EndowmentProfile,
     ModelParams,
     calibrate_profile,
+    default_profile,
     evaluate_profile,
     generate_population,
     load_population,
@@ -22,8 +26,8 @@ from fracmarket import (
     save_population,
     simulate_profile_day,
 )
-from fracmarket.endowments import DEFAULT_BOXES, load_profile, save_profile
-from fracmarket.endowments import _sample_candidate
+from fracmarket.endowments import load_profile, save_profile
+from fracmarket.experiments import DEFAULT_BOXES, _sample_candidate
 
 PS = AgentKind.PURE_SELLER
 PB = AgentKind.PURE_BUYER
@@ -143,6 +147,14 @@ def test_generate_is_deterministic_per_seed():
     c = generate_population(p, make_rng(100))
     assert all(x.shares == y.shares and x.cash == y.cash for x, y in zip(a, b))
     assert any(x.shares != y.shares or x.cash != y.cash for x, y in zip(a, c))
+
+
+def test_profile_day_does_not_advance_its_seed_sequence():
+    ss = np.random.SeedSequence(5)
+    profile, params = default_profile(), ModelParams.baseline()
+    first = simulate_profile_day(profile, params, ss)
+    assert simulate_profile_day(profile, params, ss) == first
+    assert first == simulate_profile_day(profile, params, 5)
 
 
 def test_zero_holders_make_ratio_undefined():
@@ -348,6 +360,17 @@ def test_calibrate_is_deterministic():
     a = calibrate_profile(targets, 3, 11, reps=3)
     b = calibrate_profile(targets, 3, 11, reps=3)
     assert a == b
+
+
+# SHA-256 of the sorted-key JSON of a small calibration's best profile and
+# objective. Moving or restructuring calibration must leave it bit-identical.
+CALIBRATION_DIGEST = "87cfc9ea6ca0c562dc8aace451cdb4c72b5b10e188f46737d4d26fcf9798fea6"
+
+
+def test_calibration_digest_is_pinned():
+    best, objective = calibrate_profile(DEFAULT_TARGETS, 3, 11, reps=3)
+    record = json.dumps([best.to_json_dict(), objective], sort_keys=True)
+    assert hashlib.sha256(record.encode()).hexdigest() == CALIBRATION_DIGEST
 
 
 def test_calibrate_rejects_nonpositive_targets():

@@ -10,6 +10,7 @@ import pytest
 
 from fracmarket import (
     AgentKind,
+    ConfigError,
     export_trace,
     make_rng,
     replay_fills,
@@ -262,6 +263,12 @@ def test_run_day_validates_params_before_running():
 
     with pytest.raises(ConfigError):
         run_day(pop, make_params(pb_trade_prob=7.0), 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_run_day_rejects_a_bad_seed(seed):
+    with pytest.raises(ConfigError, match=rf"seed={seed!r} must be a non-negative integer"):
+        run_day([], make_params(), seed)
 
 
 # --- exact settlement digest --------------------------------------------------

@@ -12,9 +12,9 @@ first in odd ones, so slow drift of the host falls on both sides alike.
 
 The output file holds the commits, the machine (nproc, Python and numpy
 versions), every run's metrics, and per workload and end-to-end metric
-the head/base ratio of each pair, their median with a percentile-bootstrap
-95% interval, each side's median and quartiles, and how many pairs the
-head won (ties count for neither side). Metric names and better
+the head/base ratio of each pair, their median with a distribution-free
+interval (`median_interval`) and its coverage, each side's median and
+quartiles, and how many pairs the head won (ties count for neither side). Metric names and better
 directions come from `BENCHMARK.json`.
 """
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import subprocess
@@ -33,7 +34,6 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "tools" / "out"
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-BOOTSTRAP = 10_000
 SEED0 = 1000  # pair i runs seed SEED0 + i
 
 
@@ -65,21 +65,42 @@ def quartiles(xs: list[float]) -> list[float]:
     return [float(q) for q in np.percentile(xs, [25, 50, 75])]
 
 
-def summarize(pairs: list[dict], rng: np.random.Generator) -> dict:
-    """Per end-to-end metric: paired ratios, their median and bootstrap
-    interval, each side's quartiles, and the head's wins."""
+def median_interval(xs: list[float]) -> tuple[float, float, float]:
+    """Order-statistic interval for the median of `xs`, and its coverage.
+
+    The interval is [x_(k), x_(n+1-k)] of the sorted values, for the largest
+    k with 2·P(Bin(n, 1/2) <= k-1) <= 0.05; it covers the median with
+    probability 1 - 2·P(Bin(n, 1/2) <= k-1) whatever the distribution. With
+    fewer than 6 values no such k exists, and the interval is the min and
+    the max (k = 1) with their lower coverage.
+    """
+    xs, n = sorted(xs), len(xs)
+
+    def tail(k: int) -> float:  # P(Bin(n, 1/2) <= k - 1)
+        return sum(math.comb(n, j) for j in range(k)) / 2**n
+
+    k = 1
+    while 2 * tail(k + 1) <= 0.05:
+        k += 1
+    return xs[k - 1], xs[n - k], 1 - 2 * tail(k)
+
+
+def summarize(pairs: list[dict]) -> dict:
+    """Per end-to-end metric: paired ratios, their median with its
+    order-statistic interval, each side's quartiles, and the head's wins."""
     out = {}
     for m in SPEC["end_to_end"]:
         name, higher = m["name"], m["better"] == "higher"
         base = [p["base"]["metrics"][name] for p in pairs]
         head = [p["head"]["metrics"][name] for p in pairs]
         ratios = np.array(head) / np.array(base)
-        boot = np.median(rng.choice(ratios, (BOOTSTRAP, len(ratios))), axis=1)
+        lo, hi, coverage = median_interval(ratios.tolist())
         wins = sum((h > b) if higher else (h < b) for b, h in zip(base, head))
         out[name] = {
             "ratios": ratios.tolist(),
             "median_ratio": float(np.median(ratios)),
-            "ci95": [float(x) for x in np.percentile(boot, [2.5, 97.5])],
+            "median_interval": [lo, hi],
+            "coverage": coverage,
             "base_quartiles": quartiles(base),
             "head_quartiles": quartiles(head),
             "head_wins": f"{wins}/{len(pairs)}",
@@ -130,7 +151,6 @@ def main(argv: list[str] | None = None) -> None:
         if base_dir != ROOT:
             git("worktree", "remove", "--force", str(base_dir))
 
-    rng = np.random.default_rng(0)
     doc = {
         "base": {"sha": base_sha},
         "head": {"sha": head_sha, "uncommitted_changes": dirty},
@@ -139,18 +159,17 @@ def main(argv: list[str] | None = None) -> None:
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed0": SEED0,
-                     "bootstrap": BOOTSTRAP},
+        "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed0": SEED0},
         "workloads": {
-            w: {"summary": summarize(runs[w], rng), "pairs": runs[w]} for w in workloads
+            w: {"summary": summarize(runs[w]), "pairs": runs[w]} for w in workloads
         },
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     for w in workloads:
         for name, s in doc["workloads"][w]["summary"].items():
-            lo, hi = s["ci95"]
+            lo, hi = s["median_interval"]
             print(f"{w:<18} {name:<12} median head/base {s['median_ratio']:.3f} "
-                  f"[{lo:.3f}, {hi:.3f}]  head wins {s['head_wins']}")
+                  f"[{lo:.3f}, {hi:.3f}] ({s['coverage']:.1%})  head wins {s['head_wins']}")
 
 
 if __name__ == "__main__":
