@@ -1,15 +1,27 @@
 """Per-agent decision rules and trade settlement.
 
 The engine calls a rule only for an agent it has activated (see
-`engine`). Each rule consumes randomness from the generator it is handed,
-in a fixed documented order, so that a day is fully reproducible from one
-seed:
+`engine`). A rule draws nothing itself: it is handed `u`, its row of the
+visit's block of uniforms on [0, 1), and reads it in a fixed documented
+order. Every row is the same width whatever the rule does with it, so the
+draws of a day never depend on the book or on balances:
 
-* offer rules: one uniform price draw, if an offer results;
-* pure-buyer rule: one integer draw to pick an offer, then one uniform
-  against the acceptance probability (nothing on an empty book);
-* buyer-seller buy rule: one without-replacement index sample over the
-  below-reference offers (skipped when the whole candidate set is taken).
+* offer rules: `u[0]` prices the offer at `a + (b - a) * u[0]`, with
+  `a = lo * p_ref` and `b = hi * p_ref` (numpy's own `uniform` formula),
+  when an offer results;
+* pure-buyer rule: `u[0]` picks the offer at position `int(u[0] * n)` of
+  the `n` live offers, and the buyer accepts when `u[1]` is below
+  `pb_accept_prob` of its price;
+* buyer-seller buy rule: with `m` candidates and a search length `k < m`,
+  step `j` of a partial Fisher-Yates shuffle swaps candidate positions `j`
+  and `j + int(u[j] * (m - j))`, for `j < k`; with `m <= k` every
+  candidate is inspected and the row is not read.
+
+A uniform `u` is at most `1 - 2**-53`, so `int(u * n) < n` for every
+`n < 2**53`: `u * n` falls short of `n` by `n * 2**-53`, which is exactly
+one step below `n` when `n` is a power of two and more than half a step
+otherwise, so the product rounds to a float below `n`. A pick is always
+a valid position.
 
 Cash is stored as a `Fraction`, but settlement computes on raw integers:
 the numerators and denominators of the cash balances and of the float
@@ -32,8 +44,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .core import AgentState, ContractViolation, ModelParams, Offer, OfferBook, Rng
+from .core import AgentState, ContractViolation, ModelParams, Offer, OfferBook
 
 __all__ = [
     "TradeFill",
@@ -62,50 +75,51 @@ class TradeFill:
     purchase_budget: Fraction
 
 
-def _draw_offer(
+def _price_offer(
     agent: AgentState,
     ratio: float,
     lo: float,
     hi: float,
     params: ModelParams,
-    rng: Rng,
+    u: Sequence[float],
 ) -> Offer | None:
     if agent.shares <= 0:
         return None
     qty = math.floor(ratio * agent.shares)
     if qty < 1:
-        # holdings too small for the listing fraction; no price is drawn
+        # holdings too small for the listing fraction; no price is set
         return None
-    price = float(rng.uniform(lo * params.p_ref, hi * params.p_ref))
+    a = lo * params.p_ref
+    price = a + (hi * params.p_ref - a) * u[0]
     return Offer(price=price, quantity=qty, seller=agent.id)
 
 
-def ps_decide(agent: AgentState, params: ModelParams, rng: Rng) -> Offer | None:
+def ps_decide(agent: AgentState, params: ModelParams, u: Sequence[float]) -> Offer | None:
     """Pure-seller offer rule.
 
     A seller holding shares lists floor(ps_offer_ratio * shares) of them at
-    a price drawn uniformly from (ps_price_lo, ps_price_hi) * p_ref.
+    a price uniform on (ps_price_lo, ps_price_hi) * p_ref, set by `u[0]`.
     Returns None when out of shares or when the floor comes to zero.
     """
-    return _draw_offer(
+    return _price_offer(
         agent,
         params.ps_offer_ratio,
         params.ps_price_lo,
         params.ps_price_hi,
         params,
-        rng,
+        u,
     )
 
 
-def bs_offer_decide(agent: AgentState, params: ModelParams, rng: Rng) -> Offer | None:
+def bs_offer_decide(agent: AgentState, params: ModelParams, u: Sequence[float]) -> Offer | None:
     """Buyer-seller offer rule; same shape as ps_decide, own parameters."""
-    return _draw_offer(
+    return _price_offer(
         agent,
         params.bs_offer_ratio,
         params.bs_price_lo,
         params.bs_price_hi,
         params,
-        rng,
+        u,
     )
 
 
@@ -168,47 +182,48 @@ def _budget_fill(
 
 
 def pb_decide(
-    agent: AgentState, book: OfferBook, params: ModelParams, rng: Rng
+    agent: AgentState, book: OfferBook, params: ModelParams, u: Sequence[float]
 ) -> TradeFill | None:
     """Pure-buyer rule.
 
-    The buyer inspects one uniformly chosen offer and accepts it with
-    probability pb_accept_prob(price). On acceptance it spends up to
-    pb_purchase_ratio of its cash: the whole offer if affordable, otherwise
-    the largest whole number of shares within budget. Returns None when the
-    book is empty, the offer is rejected, or not even one share is
-    affordable.
+    The buyer inspects one uniformly chosen offer (`u[0]`) and accepts it
+    with probability pb_accept_prob(price) (`u[1]`). On acceptance it
+    spends up to pb_purchase_ratio of its cash: the whole offer if
+    affordable, otherwise the largest whole number of shares within budget.
+    Returns None when the book is empty, the offer is rejected, or not even
+    one share is affordable.
     """
     if len(book) == 0:
         return None
-    offer = book.offers[int(rng.integers(len(book)))]
-    if not (rng.random() < pb_accept_prob(offer.price, params)):
+    offer = book.offers[int(u[0] * len(book))]
+    if not (u[1] < pb_accept_prob(offer.price, params)):
         return None
     return _budget_fill(agent, offer, params.pb_purchase_ratio)
 
 
 def bs_buy_decide(
-    agent: AgentState, book: OfferBook, params: ModelParams, rng: Rng
+    agent: AgentState, book: OfferBook, params: ModelParams, u: Sequence[float]
 ) -> TradeFill | None:
     """Buyer-seller buy rule.
 
     The agent screens the offers priced strictly below p_ref, excluding its
-    own, samples at most bs_search_len of them without replacement and
-    takes the cheapest (earliest entry on a price tie), spending up to
-    bs_purchase_ratio of its cash as in pb_decide. Bargain hunting: there
-    is no acceptance lottery.
+    own, samples at most bs_search_len of them without replacement (a
+    partial shuffle driven by `u[:bs_search_len]`) and takes the cheapest
+    (earliest entry on a price tie), spending up to bs_purchase_ratio of its
+    cash as in pb_decide. Bargain hunting: there is no acceptance lottery.
     """
     candidates = book.below(params.p_ref, without=agent.id)
     if not candidates:
         return None
-    k = params.bs_search_len
-    if k < len(candidates):
-        # uniform sample without replacement via a partial shuffle
-        idx = rng.permutation(len(candidates))[:k]
-        sample = [candidates[i] for i in idx.tolist()]
-    else:
-        sample = candidates  # whole set inspected, no draw consumed
-    best = min(sample, key=_PRICE_ENTRY)
+    k, m = params.bs_search_len, len(candidates)
+    if k < m:
+        # partial Fisher-Yates over the candidate positions
+        pos = list(range(m))
+        for j in range(k):
+            r = j + int(u[j] * (m - j))
+            pos[j], pos[r] = pos[r], pos[j]
+        candidates = [candidates[i] for i in pos[:k]]
+    best = min(candidates, key=_PRICE_ENTRY)
     return _budget_fill(agent, best, params.bs_purchase_ratio)
 
 

@@ -15,19 +15,30 @@ Offers still live after the last round are deleted; nothing carries over to
 the next day.
 
 Randomness layout per day (one generator, consumed in this order): the
-pre-trading visit, then one visit per trading round. A visit draws a
-permutation of its agents and then one uniform per visit position, as a
-block; the agent at a position is active when its uniform is below its
-activation probability. The rules of the active agents then make their own
-draws (listed in `agents`), in visit order. The rules are called for active
-agents only: activation is decided here and nowhere else.
+pre-trading visit, then one visit per trading round. A visit makes three
+draws and no others:
+
+1. a permutation of its agents;
+2. one uniform per visit position; the agent at a position is active when
+   its uniform is below its activation probability;
+3. a block `rng.random((n_active, W))`, one row per active agent in visit
+   order. Pre-trading has W = 1 (an offer's price). Trading has
+   W = max(2, min(bs_search_len, number of potential sellers)): two for a
+   pure buyer's pick and acceptance, and room for a buyer-seller's search,
+   which never has more candidates than there are sellers.
+
+Each active agent's rule is handed its row and reads it as listed in
+`agents`; the rules draw nothing themselves. So the draws of a day depend
+only on the population's kinds, the activation probabilities and W, never
+on the book or on balances. The rules are called for active agents only:
+activation is decided here and nowhere else.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,16 +96,19 @@ class DayTrace:
 
 
 def _visit(
-    agents: Sequence[AgentState], probs: np.ndarray, rng: Rng
-) -> list[AgentState]:
+    agents: Sequence[AgentState], probs: np.ndarray, width: int, rng: Rng
+) -> Iterator[tuple[AgentState, list[float]]]:
     """Visit `agents` once each in a uniformly random order, activating the
-    agent at each position with its probability in `probs`; returns the
-    active agents in visit order. Draws nothing when `agents` is empty."""
+    agent at each position with its probability in `probs`. Makes all three
+    draws of the visit at once and returns the active agents in visit order,
+    each paired with its row of `width` uniforms. Draws nothing when
+    `agents` is empty."""
     if not agents:
-        return []
+        return zip()
     order = rng.permutation(len(agents))
-    active = order[rng.random(len(agents)) < probs[order]]
-    return [agents[i] for i in active.tolist()]
+    active = order[rng.random(len(agents)) < probs[order]].tolist()
+    rows = rng.random((len(active), width)).tolist()
+    return zip([agents[i] for i in active], rows)
 
 
 def run_pretrading(
@@ -111,11 +125,11 @@ def run_pretrading(
             for a in sellers
         ]
     )
-    for agent in _visit(sellers, probs, rng):
+    for agent, u in _visit(sellers, probs, 1, rng):
         if agent.kind is AgentKind.PURE_SELLER:
-            offer = ps_decide(agent, params, rng)
+            offer = ps_decide(agent, params, u)
         else:
-            offer = bs_offer_decide(agent, params, rng)
+            offer = bs_offer_decide(agent, params, u)
         if offer is not None:
             book.insert(offer)
     return book
@@ -139,13 +153,15 @@ def run_trading(
             for a in buyers
         ]
     )
+    n_sellers = sum(1 for a in population if a.kind.sells)
+    width = max(2, min(params.bs_search_len, n_sellers))
     fills: list[FillEvent] = []
     for it in range(1, params.n_trading_iters + 1):
-        for agent in _visit(buyers, probs, rng):
+        for agent, u in _visit(buyers, probs, width, rng):
             if agent.kind is AgentKind.PURE_BUYER:
-                fill = pb_decide(agent, book, params, rng)
+                fill = pb_decide(agent, book, params, u)
             else:
-                fill = bs_buy_decide(agent, book, params, rng)
+                fill = bs_buy_decide(agent, book, params, u)
             if fill is None:
                 continue
             settle_fill(fill, agent, population[fill.seller], book, params)

@@ -28,7 +28,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import AgentState, ConfigError, ModelParams, Rng, as_seed, make_rng
+from .core import AgentState, ConfigError, ModelParams, Rng, as_number, as_seed, make_rng
 from .endowments import DistSpec, EndowmentProfile, load_population, simulate_profile_day
 from .engine import run_day
 from .metrics import METRIC_FIELDS, AggregateMetrics, DayMetrics, aggregate
@@ -324,6 +324,22 @@ def _sample_candidate(boxes: dict[str, tuple[float, float]], rng: Rng) -> Endowm
     )
 
 
+def _check_weights(weights: dict[str, float] | None) -> dict[str, float]:
+    """`weights` as a dict of objective weights, each key a metric of
+    `CalibrationTargets.FIELDS` and each weight a non-negative finite number."""
+    out = {}
+    for name, value in (weights or {}).items():
+        if name not in CalibrationTargets.FIELDS:
+            raise ConfigError(
+                f"unknown weight {name!r}; weights are for {', '.join(CalibrationTargets.FIELDS)}"
+            )
+        x = as_number(f"weight {name}", value)
+        if not (x >= 0.0 and math.isfinite(x)):
+            raise ConfigError(f"weight {name}={value!r} must be non-negative and finite")
+        out[name] = x
+    return out
+
+
 def evaluate_profile(
     profile: EndowmentProfile,
     targets: CalibrationTargets,
@@ -337,13 +353,15 @@ def evaluate_profile(
 
     Evaluation seeds depend only on (seed, rep), so different profiles
     evaluated under the same seed share their randomness and compare with
-    less noise. Returns (objective, mean metrics dict).
+    less noise. `weights` maps metric names in `CalibrationTargets.FIELDS`
+    to non-negative finite weights (1.0 for a name left out); any other
+    key or weight is a ConfigError. Returns (objective, mean metrics dict).
     """
+    w = _check_weights(weights)
     agg = run_batch(params, profile, reps, seed, axis_index=2)
     sim = {name: agg.mean(name) for name in CalibrationTargets.FIELDS}
     if sim["liquidity_ratio"] is None:
         return math.inf, {k: (v if v is not None else math.nan) for k, v in sim.items()}
-    w = weights or {}
     obj = 0.0
     for name in CalibrationTargets.FIELDS:
         t = getattr(targets, name)

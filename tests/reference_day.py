@@ -11,15 +11,21 @@ and `agents` docstrings):
 
 1. pre-trading: draw a permutation of the sellers and one uniform per
    visit position; a pure seller is active when its uniform is below
-   `ps_offer_prob`, a buyer-seller below `bs_offer_prob`. Then, in visit
-   order, each active seller that lists at least one share draws its
-   price uniformly from (lo, hi) * p_ref;
+   `ps_offer_prob`, a buyer-seller below `bs_offer_prob`. Then draw one
+   uniform per active seller, in visit order; a seller that lists at least
+   one share prices its offer at a + (b - a) * u, with (a, b) = (lo, hi) *
+   p_ref;
 2. each trading round: draw a permutation of the buyers and one uniform
-   per position (`pb_trade_prob`, `bs_trade_prob`). Then, in visit order,
-   an active pure buyer facing a non-empty book draws an offer index and
-   then one acceptance uniform; an active buyer-seller draws a
-   permutation of its candidates, and only when it holds more than
-   `bs_search_len` of them.
+   per position (`pb_trade_prob`, `bs_trade_prob`). Then draw a row of W
+   uniforms per active buyer, in visit order, with W = max(2,
+   min(bs_search_len, number of sellers)). An active pure buyer facing a
+   non-empty book takes the offer at int(u[0] * len(book)) and accepts it
+   when u[1] is below the acceptance probability; an active buyer-seller
+   with more than k = bs_search_len candidates swaps positions j and
+   j + int(u[j] * (m - j)) of its m candidates for j < k and looks at the
+   first k, otherwise at all of them.
+
+Every row is drawn whether or not the agent's rule reads it.
 """
 
 from __future__ import annotations
@@ -55,55 +61,65 @@ def reference_day(roster: list, params: ModelParams, seed) -> dict:
     if sellers:
         order = rng.permutation(len(sellers))
         u = rng.random(len(sellers))
+        active = []
         for pos in range(len(sellers)):
             i = sellers[order[pos]]
+            prob = params.ps_offer_prob if kind[i] is PS else params.bs_offer_prob
+            if u[pos] < prob:
+                active.append(i)
+        rows = rng.random((len(active), 1))
+        for i, row in zip(active, rows):
             if kind[i] is PS:
-                prob, ratio = params.ps_offer_prob, params.ps_offer_ratio
-                lo, hi = params.ps_price_lo, params.ps_price_hi
+                ratio, lo, hi = params.ps_offer_ratio, params.ps_price_lo, params.ps_price_hi
             else:
-                prob, ratio = params.bs_offer_prob, params.bs_offer_ratio
-                lo, hi = params.bs_price_lo, params.bs_price_hi
-            if not u[pos] < prob:
-                continue
+                ratio, lo, hi = params.bs_offer_ratio, params.bs_price_lo, params.bs_price_hi
             if shares[i] <= 0:
                 continue
             qty = math.floor(ratio * shares[i])
             if qty < 1:
                 continue
-            price = float(rng.uniform(lo * p_ref, hi * p_ref))
+            a, b = lo * p_ref, hi * p_ref
+            price = a + (b - a) * float(row[0])
             book.append([price, qty, i, len(book)])
     offers = [tuple(o) for o in book]
 
     # trading
     fills = []
     buyers = [i for i in range(len(roster)) if kind[i] is not PS]
+    width = max(2, min(params.bs_search_len, len(sellers)))
     for rnd in range(1, params.n_trading_iters + 1):
         if not buyers:
             continue
         order = rng.permutation(len(buyers))
         u = rng.random(len(buyers))
+        active = []
         for pos in range(len(buyers)):
             i = buyers[order[pos]]
+            prob = params.pb_trade_prob if kind[i] is PB else params.bs_trade_prob
+            if u[pos] < prob:
+                active.append(i)
+        rows = rng.random((len(active), width))
+        for i, row in zip(active, rows):
+            row = [float(x) for x in row]
             if kind[i] is PB:
-                if not u[pos] < params.pb_trade_prob:
-                    continue
                 if not book:
                     continue
-                offer = book[int(rng.integers(len(book)))]
+                offer = book[int(row[0] * len(book))]
                 x = params.k_pb * (offer[0] - p_ref)
                 accept = 0.0 if x > 500.0 else 1.0 if x < -500.0 else 1.0 / (1.0 + math.exp(x))
-                if not rng.random() < accept:
+                if not row[1] < accept:
                     continue
                 ratio = params.pb_purchase_ratio
             else:
-                if not u[pos] < params.bs_trade_prob:
-                    continue
                 candidates = [o for o in book if o[0] < p_ref and o[2] != i]
                 if not candidates:
                     continue
-                if params.bs_search_len < len(candidates):
-                    picks = rng.permutation(len(candidates))[: params.bs_search_len]
-                    sample = [candidates[j] for j in picks]
+                k, m = params.bs_search_len, len(candidates)
+                if k < m:
+                    for j in range(k):
+                        r = j + int(row[j] * (m - j))
+                        candidates[j], candidates[r] = candidates[r], candidates[j]
+                    sample = candidates[:k]
                 else:
                     sample = candidates
                 offer = min(sample, key=lambda o: (o[0], o[3]))

@@ -33,33 +33,36 @@ BS = AgentKind.BUYER_SELLER
 
 # --- offer side -------------------------------------------------------------
 
+# the largest uniform the generator returns, 1 - 2**-53
+U_MAX = math.nextafter(1.0, 0.0)
+
 
 def test_ps_without_shares_posts_nothing():
     params = make_params(ps_offer_prob=1.0)
     agent = make_agent(kind=PS, shares=0)
-    assert ps_decide(agent, params, make_rng(0)) is None
+    assert ps_decide(agent, params, [0.5]) is None
 
 
 def test_ps_quantity_is_floor_of_ratio_times_holding():
     params = make_params(ps_offer_prob=1.0)
     agent = make_agent(id=4, kind=PS, shares=10)
-    offer = ps_decide(agent, params, make_rng(1))
+    offer = ps_decide(agent, params, [0.5])
     assert offer is not None
     assert offer.quantity == 6  # floor(0.603 * 10)
     assert offer.seller == 4
-    assert 0.75 * 50 <= offer.price <= 1.05 * 50
+    assert offer.price == 37.5 + 15.0 * 0.5  # (0.75 + 0.30 * u) * 50
 
 
 def test_ps_floor_to_zero_posts_nothing():
     params = make_params(ps_offer_prob=1.0)
     agent = make_agent(kind=PS, shares=1)  # floor(0.603) == 0
-    assert ps_decide(agent, params, make_rng(1)) is None
+    assert ps_decide(agent, params, [0.5]) is None
 
 
 def test_bs_offer_quantity_floor():
     params = make_params(bs_offer_prob=1.0)
     agent = make_agent(kind=BS, shares=9)
-    offer = bs_offer_decide(agent, params, make_rng(1))
+    offer = bs_offer_decide(agent, params, [0.5])
     assert offer is not None
     assert offer.quantity == 2  # floor(0.333 * 9) = floor(2.997)
     assert 0.80 * 50 <= offer.price <= 1.10 * 50
@@ -67,21 +70,36 @@ def test_bs_offer_quantity_floor():
 
 def test_offer_prices_stay_in_range_over_many_draws():
     params = make_params(ps_offer_prob=1.0, bs_offer_prob=1.0)
-    rng = make_rng(77)
     agent = make_agent(kind=PS, shares=10)
     bs_agent = make_agent(kind=BS, shares=10)
-    for _ in range(10_000):
-        o = ps_decide(agent, params, rng)
-        assert 37.5 <= o.price <= 52.5
-        o = bs_offer_decide(bs_agent, params, rng)
-        assert 40.0 <= o.price <= 55.0
+    # the band's ends as floats: 1.10 * 50 is 55.00000000000001
+    ps_lo, ps_hi = 0.75 * 50, 1.05 * 50
+    bs_lo, bs_hi = 0.80 * 50, 1.10 * 50
+    rows = make_rng(77).random((10_000, 1)).tolist() + [[0.0], [U_MAX]]
+    for u in rows:
+        o = ps_decide(agent, params, u)
+        assert ps_lo <= o.price <= ps_hi
+        o = bs_offer_decide(bs_agent, params, u)
+        assert bs_lo <= o.price <= bs_hi
+    assert ps_decide(agent, params, [0.0]).price == ps_lo
+    assert bs_offer_decide(bs_agent, params, [U_MAX]).price <= bs_hi
+
+
+def test_offer_price_is_numpys_uniform_formula():
+    # the price a row gives is what Generator.uniform makes of the same draw
+    params = make_params(ps_offer_prob=1.0)
+    agent = make_agent(kind=PS, shares=10)
+    a, b = params.ps_price_lo * params.p_ref, params.ps_price_hi * params.p_ref
+    rows, draws = make_rng(5), make_rng(5)
+    for _ in range(1000):
+        assert ps_decide(agent, params, [rows.random()]).price == draws.uniform(a, b)
 
 
 def test_zero_width_range_pins_the_price():
     params = make_params(ps_offer_prob=1.0, ps_price_lo=0.8, ps_price_hi=0.8)
     agent = make_agent(kind=PS, shares=10)
-    for seed in range(5):
-        assert ps_decide(agent, params, make_rng(seed)).price == 40.0
+    for u in (0.0, 0.3, 0.9, U_MAX):
+        assert ps_decide(agent, params, [u]).price == 40.0
 
 
 # --- acceptance probability -------------------------------------------------
@@ -121,16 +139,20 @@ def certain_buy_params(**overrides):
     return make_params(pb_trade_prob=1.0, **overrides)
 
 
+# pick the first offer, accept whenever the acceptance probability is > 0
+TAKE_FIRST = [0.0, 0.0]
+
+
 def test_pb_empty_book_does_nothing():
     agent = make_agent(id=0, kind=PB, cash=100)
-    assert pb_decide(agent, OfferBook(), certain_buy_params(), make_rng(0)) is None
+    assert pb_decide(agent, OfferBook(), certain_buy_params(), TAKE_FIRST) is None
 
 
 def test_pb_partial_fill_takes_affordable_units():
     book = OfferBook()
     book.insert(make_offer(price=30.0, quantity=3, seller=1))
     agent = make_agent(id=0, kind=PB, cash=100)
-    fill = pb_decide(agent, book, certain_buy_params(), make_rng(0))
+    fill = pb_decide(agent, book, certain_buy_params(), TAKE_FIRST)
     assert fill is not None
     # budget 0.566 * 100 = 56.6, one unit of 30 affordable, two are not
     assert fill.units == 1
@@ -143,7 +165,7 @@ def test_pb_full_fill_when_budget_covers_offer():
     book = OfferBook()
     book.insert(make_offer(price=30.0, quantity=1, seller=1))
     agent = make_agent(id=0, kind=PB, cash=100)
-    fill = pb_decide(agent, book, certain_buy_params(), make_rng(0))
+    fill = pb_decide(agent, book, certain_buy_params(), TAKE_FIRST)
     assert fill.units == 1
     assert fill.purchase_budget == Fraction(0.566) * 100
 
@@ -152,7 +174,7 @@ def test_pb_cannot_afford_one_unit_does_nothing():
     book = OfferBook()
     book.insert(make_offer(price=30.0, quantity=3, seller=1))
     agent = make_agent(id=0, kind=PB, cash=10)  # budget 5.66 < 30
-    assert pb_decide(agent, book, certain_buy_params(), make_rng(0)) is None
+    assert pb_decide(agent, book, certain_buy_params(), TAKE_FIRST) is None
 
 
 def test_pb_certain_rejection_above_clamp():
@@ -160,8 +182,46 @@ def test_pb_certain_rejection_above_clamp():
     book.insert(make_offer(price=400.0, quantity=3, seller=1))
     agent = make_agent(id=0, kind=PB, cash=10_000)
     # k * (400 - 50) = 700 > clamp, acceptance prob is exactly 0
-    for seed in range(10):
-        assert pb_decide(agent, book, certain_buy_params(), make_rng(seed)) is None
+    for u in [TAKE_FIRST, [0.5, 0.5], [U_MAX, U_MAX]] + make_rng(3).random((10, 2)).tolist():
+        assert pb_decide(agent, book, certain_buy_params(), u) is None
+
+
+def _cheap_book(n: int) -> OfferBook:
+    # n offers far below reference, seller i + 1 at entry i
+    book = OfferBook()
+    for i in range(n):
+        book.insert(make_offer(price=20.0 + 0.01 * i, quantity=1, seller=i + 1))
+    return book
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000])
+def test_pb_pick_spans_the_book_from_first_to_last(n):
+    book = _cheap_book(n)
+    agent = make_agent(id=0, kind=PB, cash=1000)
+    params = certain_buy_params()
+    assert pb_decide(agent, book, params, [0.0, 0.0]).seller == 1
+    assert pb_decide(agent, book, params, [U_MAX, 0.0]).seller == n
+    mid = pb_decide(agent, book, params, [0.5, 0.0])
+    assert mid.seller == n // 2 + 1
+
+
+@given(n=st.integers(1, 2**53 - 1) | st.sampled_from([2**e for e in range(53)]))
+def test_largest_uniform_picks_the_last_of_any_count(n):
+    # int(u * n) for u = 1 - 2**-53 is n - 1 < n: the pick is always valid
+    # (the reason is in the agents docstring)
+    assert int(U_MAX * n) == n - 1
+
+
+def test_pb_accepts_just_below_the_probability_only():
+    book = OfferBook()
+    book.insert(make_offer(price=49.0, quantity=1, seller=1))
+    agent = make_agent(id=0, kind=PB, cash=1000)
+    params = certain_buy_params()
+    p = pb_accept_prob(49.0, params)
+    assert 0.0 < p < 1.0
+    assert pb_decide(agent, book, params, [0.0, math.nextafter(p, 0.0)]) is not None
+    assert pb_decide(agent, book, params, [0.0, p]) is None
+    assert pb_decide(agent, book, params, [0.0, math.nextafter(p, 1.0)]) is None
 
 
 def test_pb_budget_floor_matches_exact_arithmetic():
@@ -174,11 +234,11 @@ def test_pb_budget_floor_matches_exact_arithmetic():
         book = OfferBook()
         book.insert(Offer(price=price, quantity=qty, seller=1))
         agent = make_agent(id=0, kind=PB, cash=cash)
-        fill = pb_decide(agent, book, params, make_rng(7))
+        fill = pb_decide(agent, book, params, TAKE_FIRST)
         budget = Fraction(0.566) * cash
         exact_units = min(qty, int(budget / Fraction(price)))
         if fill is None:
-            assert exact_units == 0 or pb_accept_prob(price, params) < 1.0
+            assert exact_units == 0 or pb_accept_prob(price, params) == 0.0
         else:
             assert fill.units == exact_units
             assert fill.notional == Fraction(price) * exact_units
@@ -258,14 +318,14 @@ def test_bs_no_candidates_below_reference():
     book.insert(make_offer(price=50.0, quantity=3, seller=1))  # not strictly below
     book.insert(make_offer(price=60.0, quantity=3, seller=2))
     agent = make_agent(id=0, kind=BS, cash=1000)
-    assert bs_buy_decide(agent, book, make_params(bs_trade_prob=1.0), make_rng(0)) is None
+    assert bs_buy_decide(agent, book, make_params(bs_trade_prob=1.0), [0.0] * 5) is None
 
 
 def test_bs_excludes_own_offer():
     book = OfferBook()
     book.insert(make_offer(price=45.0, quantity=3, seller=0))  # own
     agent = make_agent(id=0, kind=BS, cash=1000)
-    assert bs_buy_decide(agent, book, make_params(bs_trade_prob=1.0), make_rng(0)) is None
+    assert bs_buy_decide(agent, book, make_params(bs_trade_prob=1.0), [0.0] * 5) is None
 
 
 def test_bs_takes_cheapest_when_sample_covers_everything():
@@ -275,8 +335,9 @@ def test_bs_takes_cheapest_when_sample_covers_everything():
     book.insert(make_offer(price=47.0, quantity=3, seller=3))
     agent = make_agent(id=0, kind=BS, cash=1000)
     params = make_params(bs_trade_prob=1.0, bs_search_len=5)
-    for seed in range(10):  # deterministic: no sampling randomness left
-        fill = bs_buy_decide(agent, book, params, make_rng(seed))
+    # m = 3 <= k = 5: the row is not read, so even an empty one will do
+    for u in [[]] + make_rng(0).random((10, 5)).tolist():
+        fill = bs_buy_decide(agent, book, params, u)
         assert fill.seller == 2 and fill.price == 45.0
 
 
@@ -286,8 +347,36 @@ def test_bs_price_tie_goes_to_earlier_entry():
     book.insert(make_offer(price=45.0, quantity=3, seller=2))
     agent = make_agent(id=0, kind=BS, cash=1000)
     params = make_params(bs_trade_prob=1.0, bs_search_len=5)
-    fill = bs_buy_decide(agent, book, params, make_rng(0))
+    fill = bs_buy_decide(agent, book, params, [])
     assert fill.seller == 4
+
+
+def _descending_book(m: int) -> OfferBook:
+    # m candidates below reference, each cheaper than the one before it;
+    # seller s + 1 at entry s
+    book = OfferBook()
+    for s in range(m):
+        book.insert(make_offer(price=49.0 - 0.25 * s, quantity=3, seller=s + 1))
+    book.insert(make_offer(price=58.0, quantity=3, seller=99))
+    return book
+
+
+def test_bs_zero_row_takes_the_first_k_candidates_in_entry_order():
+    # u[j] = 0 swaps position j with itself at every step: the sample is the
+    # first k candidates, whose cheapest is the k-th, not the book's cheapest
+    agent = make_agent(id=0, kind=BS, cash=1000)
+    for k in (1, 3, 11):
+        params = make_params(bs_trade_prob=1.0, bs_search_len=k)
+        fill = bs_buy_decide(agent, _descending_book(12), params, [0.0] * k)
+        assert fill.seller == k
+
+
+def test_bs_largest_row_swaps_in_the_last_candidate():
+    # u[0] = 1 - 2**-53 swaps position 0 with the last, m - 1
+    agent = make_agent(id=0, kind=BS, cash=1000)
+    params = make_params(bs_trade_prob=1.0, bs_search_len=1)
+    fill = bs_buy_decide(agent, _descending_book(12), params, [U_MAX])
+    assert fill.seller == 12
 
 
 def test_bs_sample_is_among_candidates():
@@ -298,8 +387,8 @@ def test_bs_sample_is_among_candidates():
     agent = make_agent(id=0, kind=BS, cash=1000)
     params = make_params(bs_trade_prob=1.0, bs_search_len=3)
     seen = set()
-    for seed in range(200):
-        fill = bs_buy_decide(agent, book, params, make_rng(seed))
+    for u in make_rng(0).random((200, 3)).tolist():
+        fill = bs_buy_decide(agent, book, params, u)
         assert fill is not None
         assert fill.price < 50.0
         seen.add(fill.seller)
@@ -307,12 +396,30 @@ def test_bs_sample_is_among_candidates():
     assert len(seen) > 3  # different samples reach different cheapest picks
 
 
+def test_bs_sample_is_uniform_without_replacement():
+    # prices ascend in entry order, so the pick is the lowest position the
+    # sample holds: position i with probability C(m-1-i, k-1) / C(m, k)
+    m, k, n = 12, 3, 20_000
+    book = OfferBook()
+    for s in range(m):
+        book.insert(make_offer(price=44.0 + s * 0.25, quantity=3, seller=s + 1))
+    book.insert(make_offer(price=58.0, quantity=3, seller=99))
+    agent = make_agent(id=0, kind=BS, cash=1000)
+    params = make_params(bs_trade_prob=1.0, bs_search_len=k)
+    counts = [0] * m
+    for u in make_rng(11).random((n, k)).tolist():
+        counts[bs_buy_decide(agent, book, params, u).seller - 1] += 1
+    for i in range(m):
+        p = math.comb(m - 1 - i, k - 1) / math.comb(m, k)
+        assert abs(counts[i] - n * p) <= 4 * math.sqrt(n * p * (1 - p)) + 1
+
+
 def test_bs_budget_uses_bs_ratio():
     book = OfferBook()
     book.insert(make_offer(price=40.0, quantity=10, seller=1))
     agent = make_agent(id=0, kind=BS, cash=200)
     params = make_params(bs_trade_prob=1.0)
-    fill = bs_buy_decide(agent, book, params, make_rng(0))
+    fill = bs_buy_decide(agent, book, params, [])
     # budget 0.485 * 200 = 97, floor(97 / 40) = 2 units
     assert fill.units == 2
     assert fill.purchase_budget == Fraction(0.485) * 200
@@ -327,7 +434,7 @@ def test_settle_moves_shares_cash_and_book_exactly():
     buyer = make_agent(id=0, kind=PB, cash=200)
     seller = make_agent(id=1, kind=PS, shares=9)
     params = certain_buy_params(pb_purchase_ratio=1.0)
-    fill = pb_decide(buyer, book, params, make_rng(0))
+    fill = pb_decide(buyer, book, params, TAKE_FIRST)
     assert fill.units == 5
     fee = settle_fill(fill, buyer, seller, book, params)
     assert buyer.shares == 5
@@ -344,7 +451,7 @@ def test_settle_fee_debited_only_when_enabled():
     book.insert(make_offer(price=40.0, quantity=5, seller=1))
     buyer = make_agent(id=0, kind=PB, cash=200)
     seller = make_agent(id=1, kind=PS, shares=5)
-    fill = pb_decide(buyer, book, params.replace(pb_trade_prob=1.0, pb_purchase_ratio=1.0), make_rng(0))
+    fill = pb_decide(buyer, book, params.replace(pb_trade_prob=1.0, pb_purchase_ratio=1.0), TAKE_FIRST)
     fee = settle_fill(fill, buyer, seller, book, params)
     assert fee == 50  # 0.25 is exactly representable, 0.25 * 200 == 50
     assert seller.cash == 150
@@ -357,7 +464,7 @@ def test_settle_rejects_inconsistent_fills():
     buyer = make_agent(id=0, kind=PB, cash=1000)
     seller = make_agent(id=1, kind=PS, shares=10)
     params = certain_buy_params()
-    fill = pb_decide(buyer, book, params, make_rng(0))
+    fill = pb_decide(buyer, book, params, TAKE_FIRST)
 
     wrong_units = TradeFill(
         buyer=0, seller=1, price=40.0, units=3, notional=Fraction(120), purchase_budget=fill.purchase_budget

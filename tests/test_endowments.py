@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -333,6 +334,32 @@ def test_calibration_rejects_a_bad_seed(seed):
         calibrate_profile(targets, 1, seed, reps=1)
 
 
+def test_evaluate_profile_rejects_an_unknown_weight():
+    # a misspelt metric must not silently weigh nothing
+    targets = CalibrationTargets(0.1, 1, 1, 1, 1)
+    fields = ", ".join(CalibrationTargets.FIELDS)
+    with pytest.raises(ConfigError, match=rf"unknown weight 'n_trade'; weights are for {fields}"):
+        evaluate_profile(small_profile(), targets, ModelParams.baseline(), 1, 0, weights={"n_trade": 50.0})
+    with pytest.raises(ConfigError, match="unknown weight 'n_trade'"):
+        calibrate_profile(targets, 1, 0, reps=1, weights={"n_trade": 50.0})
+
+
+@pytest.mark.parametrize("weight", [-1.0, math.inf, math.nan, "x", True])
+def test_evaluate_profile_rejects_a_bad_weight(weight):
+    targets = CalibrationTargets(0.1, 1, 1, 1, 1)
+    with pytest.raises(ConfigError, match="weight n_trades="):
+        evaluate_profile(small_profile(), targets, ModelParams.baseline(), 1, 0, weights={"n_trades": weight})
+
+
+def test_evaluate_profile_weights_scale_their_metric():
+    prof = small_profile(n_pb=40, n_ps=20, n_bs=10)
+    targets = CalibrationTargets(0.1, 1, 1, 1, 1)
+    params = ModelParams.baseline()
+    plain, sim = evaluate_profile(prof, targets, params, 3, 0)
+    zeroed, _ = evaluate_profile(prof, targets, params, 3, 0, weights={"n_trades": 0.0})
+    assert zeroed == pytest.approx(plain - (sim["n_trades"] - 1) ** 2)
+
+
 def test_calibrate_warm_start_never_loses_to_no_better_candidate():
     prof = small_profile(n_pb=40, n_ps=20, n_bs=10)
     params = ModelParams.baseline()
@@ -364,7 +391,7 @@ def test_calibrate_is_deterministic():
 
 # SHA-256 of the sorted-key JSON of a small calibration's best profile and
 # objective. Moving or restructuring calibration must leave it bit-identical.
-CALIBRATION_DIGEST = "87cfc9ea6ca0c562dc8aace451cdb4c72b5b10e188f46737d4d26fcf9798fea6"
+CALIBRATION_DIGEST = "51e272a0069b528ec3f39611397fad7fb3f7057f8ac74db757ccf779ba63bff0"
 
 
 def test_calibration_digest_is_pinned():

@@ -117,6 +117,94 @@ def test_run_day_calls_the_rules_through_the_engine(monkeypatch):
     assert calls["pb_decide"] == 10 * params.n_trading_iters
 
 
+RULES = ("ps_decide", "bs_offer_decide", "pb_decide", "bs_buy_decide")
+
+
+def _rule_calls(monkeypatch, pop, params, seed):
+    # run one day with engine's rules and visits wrapped; returns the
+    # (visit, agent id) of every rule call, visit 0 being pre-trading and
+    # visit r trading round r, together with the day's fills
+    calls, visits = [], []
+
+    def visiting(*args, **kwargs):
+        visits.append(None)
+        return visit(*args, **kwargs)
+
+    def recording(rule):
+        def wrapper(agent, *args):
+            calls.append((len(visits) - 1, agent.id))
+            return rule(agent, *args)
+
+        return wrapper
+
+    with monkeypatch.context() as m:
+        visit = engine._visit
+        m.setattr(engine, "_visit", visiting)
+        for name in RULES:
+            m.setattr(engine, name, recording(getattr(engine, name)))
+        trace, _ = run_day(pop, params, seed)
+    return calls, [(ev.iteration, ev.fill) for ev in trace.fills]
+
+
+@pytest.mark.parametrize(
+    "change", [{"pb_purchase_ratio": 0.9}, {"k_pb": 0.2}, {"exit_fee_rate": 0.4}]
+)
+def test_who_acts_when_does_not_depend_on_the_book(monkeypatch, change):
+    # the parameters changed here move fills, the book and balances, but
+    # not a single draw: every day calls the same rules for the same agents
+    # in the same order
+    base = make_params(
+        ps_offer_prob=0.6, bs_offer_prob=0.6, pb_trade_prob=0.5,
+        bs_trade_prob=0.5, bs_search_len=3, debit_exit_fee=True,
+    )
+    fills_differ = []
+    for seed in range(4):
+        pops = [make_population(n_pb=40, n_ps=20, n_bs=15, shares=12, cash=90) for _ in range(2)]
+        calls, fills = _rule_calls(monkeypatch, pops[0], base, seed)
+        calls_b, fills_b = _rule_calls(monkeypatch, pops[1], base.replace(**change), seed)
+        assert calls_b == calls
+        assert {r for r, _ in calls} == set(range(base.n_trading_iters + 1))
+        fills_differ.append(fills_b != fills)
+    assert any(fills_differ)  # otherwise the comparison is vacuous
+
+
+class _BlockWidths:
+    """A generator that notes the width of every 2-d block it draws, and
+    refuses to draw one wider than `limit`."""
+
+    def __init__(self, seed, limit):
+        self.rng, self.limit, self.widths = make_rng(seed), limit, []
+
+    def permutation(self, n):
+        return self.rng.permutation(n)
+
+    def random(self, size):
+        if isinstance(size, tuple):
+            assert size[1] <= self.limit, f"a block {size[1]} wide"
+            self.widths.append(size[1])
+        return self.rng.random(size)
+
+
+def test_a_huge_search_length_draws_no_wider_block_than_the_sellers(monkeypatch):
+    # W = max(2, min(bs_search_len, sellers)): beyond the number of sellers
+    # the search length changes neither the block nor the day
+    n_sellers = 7
+    days = []
+    for k in (n_sellers, 10**6):
+        pop = make_population(n_pb=6, n_ps=3, n_bs=4, shares=10, cash=500)
+        gen = _BlockWidths(5, limit=len(pop))
+        monkeypatch.setattr(engine, "make_rng", lambda seed: gen)
+        params = make_params(
+            ps_offer_prob=1.0, bs_offer_prob=1.0, pb_trade_prob=0.8,
+            bs_trade_prob=0.8, bs_search_len=k,
+        )
+        trace, day = run_day(pop, params, 0)
+        assert gen.widths == [1] + [n_sellers] * params.n_trading_iters
+        days.append((trace.offers_entered, trace.fills, day, [(a.shares, a.cash) for a in pop]))
+    assert days[0] == days[1]
+    assert days[0][1]  # otherwise the comparison is vacuous
+
+
 def test_trading_prob_zero_fills_nothing():
     pop = make_population(n_pb=10, n_ps=4, shares=10, cash=1000)
     params = make_params(ps_offer_prob=1.0, pb_trade_prob=0.0, bs_trade_prob=0.0)
@@ -279,7 +367,7 @@ def test_run_day_rejects_a_bad_seed(seed):
 # balances at the end of each day. The aggregate digest in
 # test_experiments only sees float means; this one pins the exact rational
 # settlement. A change of the arithmetic must leave it bit-identical.
-ROSTER_DIGEST = "7283843499b001dead0766fca8649e7cf5da34ba7b6cc00d49374ebc792b0c0d"
+ROSTER_DIGEST = "56ee2ac7625206d9ec324f744dfc8fcd4705ab28fbeb9b00acdfba85f71735ca"
 
 
 def _cent_roster(seed: int) -> list:

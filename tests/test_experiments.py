@@ -70,7 +70,7 @@ def test_single_rep_batch_matches_direct_day():
 # SHA-256 of the sorted-key JSON record of a 50-day baseline batch on the
 # packaged profile. A refactor must leave it bit-identical; a deliberate
 # change of the random-stream layout re-pins it and says so.
-GOLDEN_DIGEST = "e117ec209dee77b804f7f63ab3c409dabee4d373e01484d1b4fd2344284f870d"
+GOLDEN_DIGEST = "2470229aa6a636be4fc202a214d01e7a21dedc6dd3b49b5e109c7a884ef618bf"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

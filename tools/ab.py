@@ -8,13 +8,18 @@ The base commit is checked out with `git worktree` under `tools/out/`
 runs `perfbench/run.py` untraced, alternating base and head: pair `i` runs
 both sides with seed `1000 + i`, the base first in even pairs and the head
 first in odd ones, so slow drift of the host falls on both sides alike.
-`--base .` compares this checkout with itself (an A/A run).
+`--base .` compares this checkout with itself (an A/A run). After the
+pairs, each side makes one traced run (`--trace 1`) of the workload on
+seed `1000 + pairs`, which no pair used, to show in which layer a change
+lands.
 
 The output file holds the commits, the machine (nproc, Python and numpy
 versions), every run's metrics, and per workload and end-to-end metric
 the head/base ratio of each pair, their median with a distribution-free
 interval (`median_interval`) and its coverage, each side's median and
-quartiles, and how many pairs the head won (ties count for neither side). Metric names and better
+quartiles, and how many pairs the head won (ties count for neither side),
+and under `traced` each side's per-layer metrics from its traced run with
+their head/base ratio (`traced_record`). Metric names and better
 directions come from `BENCHMARK.json`.
 """
 
@@ -43,11 +48,12 @@ def git(*args: str, cwd: Path = ROOT) -> str:
     ).stdout.strip()
 
 
-def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run; returns the result line of `perfbench/run.py`."""
+def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
+    """One run, untraced unless `trace`; returns the result line of
+    `perfbench/run.py`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))],
         cwd=checkout, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -109,6 +115,27 @@ def summarize(pairs: list[dict]) -> dict:
     return out
 
 
+def traced_record(seed: int, base: dict, head: dict) -> dict:
+    """The traced runs of both sides: per declared per-layer metric, each
+    side's value (None where its run never reached the layer) and the
+    head/base ratio where both have a nonzero base."""
+    layers = {}
+    for m in SPEC["per_layer"]:
+        name = m["name"]
+        b, h = base["metrics"].get(name), head["metrics"].get(name)
+        layers[name] = {
+            "base": b,
+            "head": h,
+            "ratio": h / b if b and h is not None else None,
+            "better": m["better"],
+        }
+    return {
+        "seed": seed,
+        "correct": {"base": base["correct"], "head": head["correct"]},
+        "layers": layers,
+    }
+
+
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="commit to compare against; '.' for this checkout")
@@ -135,6 +162,7 @@ def main(argv: list[str] | None = None) -> None:
         git("worktree", "add", "--detach", str(base_dir), base_sha)
     try:
         runs: dict[str, list[dict]] = {}
+        traced: dict[str, dict] = {}
         for w in workloads:
             runs[w] = []
             for i in range(args.pairs):
@@ -147,6 +175,10 @@ def main(argv: list[str] | None = None) -> None:
                 b, h = (pair[s]["metrics"]["days_per_s"] for s in ("base", "head"))
                 print(f"{w} pair {i} seed {seed}: days/s base {b:.3f} head {h:.3f} ratio {h / b:.3f}",
                       flush=True)
+            seed = SEED0 + args.pairs
+            traced[w] = traced_record(
+                seed, *(bench(d, w, seed, args.seconds, trace=True) for d in (base_dir, ROOT))
+            )
     finally:
         if base_dir != ROOT:
             git("worktree", "remove", "--force", str(base_dir))
@@ -161,7 +193,8 @@ def main(argv: list[str] | None = None) -> None:
         },
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed0": SEED0},
         "workloads": {
-            w: {"summary": summarize(runs[w]), "pairs": runs[w]} for w in workloads
+            w: {"summary": summarize(runs[w]), "pairs": runs[w], "traced": traced[w]}
+            for w in workloads
         },
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -170,6 +203,10 @@ def main(argv: list[str] | None = None) -> None:
             lo, hi = s["median_interval"]
             print(f"{w:<18} {name:<12} median head/base {s['median_ratio']:.3f} "
                   f"[{lo:.3f}, {hi:.3f}] ({s['coverage']:.1%})  head wins {s['head_wins']}")
+        for name, layer in traced[w]["layers"].items():
+            if layer["ratio"] is not None:
+                print(f"{w:<18} traced {name:<36} base {layer['base']:.6g} "
+                      f"head {layer['head']:.6g} head/base {layer['ratio']:.3f}")
 
 
 if __name__ == "__main__":
