@@ -26,6 +26,7 @@ import operator
 import numbers
 import typing
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
@@ -123,6 +124,43 @@ class AgentState:
 
     def copy(self) -> "AgentState":
         return AgentState(self.id, self.kind, self.shares, self.cash)
+
+
+# a kind column holds each agent's kind as its position in this tuple, the
+# block order of a generated population
+KIND_ORDER = (AgentKind.PURE_BUYER, AgentKind.PURE_SELLER, AgentKind.BUYER_SELLER)
+
+
+class LazyPopulation(Sequence[AgentState]):
+    """A population held as columns, its agents built on first use.
+
+    Agent `i` has kind `KIND_ORDER[kinds[i]]`, `shares[i]` shares and cash
+    `cash[i]`, a float. `pop[i]` builds its `AgentState` (id `i`, cash the
+    exact value of the float) the first time it is asked for and returns
+    that same object afterwards, so the engine can read every agent's kind
+    and cash but build only the agents that act.
+    """
+
+    __slots__ = ("kinds", "shares", "cash", "_agents")
+
+    def __init__(self, kinds: np.ndarray, shares: list[float], cash: np.ndarray) -> None:
+        self.kinds = kinds
+        self.shares = shares
+        self.cash = cash
+        self._agents: list[AgentState | None] = [None] * len(kinds)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> AgentState:
+        agent = self._agents[i]
+        if agent is None:
+            c = float(self.cash[i])
+            # the integer constructor is much cheaper than the float one
+            cash = Fraction(int(c)) if c.is_integer() else Fraction(c)
+            kind = KIND_ORDER[self.kinds[i]]
+            agent = self._agents[i] = AgentState(i, kind, int(self.shares[i]), cash)
+        return agent
 
 
 @dataclass(slots=True)
@@ -345,16 +383,18 @@ class ModelParams:
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
                 problems.append(f"{name}={v!r} not in [0, 1]")
-        if not (isinstance(self.p_ref, (int, float)) and 0 < self.p_ref < math.inf):
+        p_ref_ok = isinstance(self.p_ref, (int, float)) and 0 < self.p_ref < math.inf
+        if not p_ref_ok:
             problems.append(f"p_ref={self.p_ref!r} not positive and finite")
         if not (isinstance(self.k_pb, (int, float)) and math.isfinite(self.k_pb)):
             problems.append(f"k_pb={self.k_pb!r} not finite")
         # zero-width bounds (lo == hi) are legal so degenerate price draws
-        # can be scripted in tests
-        for lo_name, hi_name in (
-            ("ps_price_lo", "ps_price_hi"),
-            ("bs_price_lo", "bs_price_hi"),
-            ("market_lo", "market_hi"),
+        # can be scripted in tests. The two price bands price offers from
+        # lo * p_ref to hi * p_ref; the market envelope only derives them.
+        for lo_name, hi_name, prices in (
+            ("ps_price_lo", "ps_price_hi", True),
+            ("bs_price_lo", "bs_price_hi", True),
+            ("market_lo", "market_hi", False),
         ):
             lo, hi = getattr(self, lo_name), getattr(self, hi_name)
             if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float))):
@@ -362,6 +402,13 @@ class ModelParams:
             elif not (0.0 < lo <= hi < math.inf):
                 problems.append(
                     f"({lo_name}, {hi_name})=({lo}, {hi}) must satisfy 0 < lo <= hi < inf"
+                )
+            elif prices and p_ref_ok and not (
+                lo * self.p_ref > 0.0 and hi * self.p_ref < math.inf
+            ):
+                problems.append(
+                    f"({lo_name}, {hi_name}) * p_ref=({lo * self.p_ref}, {hi * self.p_ref})"
+                    " must be positive and finite"
                 )
         for name in ("bs_search_len", "n_trading_iters"):
             v = getattr(self, name)

@@ -10,7 +10,8 @@ and cash are drawn from.
 Holdings are whole shares; share draws are rounded to the nearest integer
 and holders get at least one share. Cash draws are floored at
 `cash_floor`. Generation consumes randomness in a fixed documented order
-(see `generate_population`), so a profile plus a seed pins down the
+(see `_draw_columns`, which `generate_population` and
+`simulate_profile_day` share), so a profile plus a seed pins down the
 population exactly.
 """
 
@@ -32,6 +33,7 @@ from .core import (
     AgentState,
     ConfigError,
     EndowmentError,
+    LazyPopulation,
     ModelParams,
     Rng,
     as_number,
@@ -259,12 +261,19 @@ def save_profile(profile: EndowmentProfile, path, metadata: dict | None = None) 
 
 
 def generate_population(profile: EndowmentProfile, rng: Rng) -> list[AgentState]:
-    """Draw a fresh population from `profile`.
+    """Draw a fresh population from `profile`, in the draw order that
+    `_draw_columns` lists."""
+    return list(_draw_columns(profile, rng))
+
+
+def _draw_columns(profile: EndowmentProfile, rng: Rng) -> LazyPopulation:
+    """Draw a population from `profile` as columns; no agent is built yet.
 
     Blocks and draw order: pure-buyer cash, pure-seller holder uniforms,
     pure-seller shares (drawn for every agent, zeroed for non-holders so the
     stream does not depend on the holder outcomes), buyer-seller holder
-    uniforms, buyer-seller shares, buyer-seller cash.
+    uniforms, buyer-seller shares, buyer-seller cash. A draw beyond float
+    range is an EndowmentError.
     """
     profile.validate()
     cash_pb = _cash_values(profile.cash_dist_pb, profile.n_pb, profile.cash_floor, rng)
@@ -274,28 +283,19 @@ def generate_population(profile: EndowmentProfile, rng: Rng) -> list[AgentState]
     shares_bs = _share_values(profile.share_dist_bs, profile.n_bs, rng)
     cash_bs = _cash_values(profile.cash_dist_bs, profile.n_bs, profile.cash_floor, rng)
 
-    kinds = (
-        [AgentKind.PURE_BUYER] * profile.n_pb
-        + [AgentKind.PURE_SELLER] * profile.n_ps
-        + [AgentKind.BUYER_SELLER] * profile.n_bs
-    )
-    held = np.concatenate(
+    counts = (profile.n_pb, profile.n_ps, profile.n_bs)  # in KIND_ORDER
+    kinds = np.repeat(np.arange(3, dtype=np.int8), counts)
+    shares = np.concatenate(
         (
             np.zeros(profile.n_pb),
             np.where(holder_ps, shares_ps, 0.0),
             np.where(holder_bs, shares_bs, 0.0),
         )
     )
-    shares = [int(v) for v in held.tolist()]
-    cash = cash_pb + [_ZERO] * profile.n_ps + cash_bs
-    return [
-        AgentState(i, kind, s, c)
-        for i, (kind, s, c) in enumerate(zip(kinds, shares, cash))
-    ]
-
-
-# Fractions are immutable, so every agent without cash can share this one
-_ZERO = Fraction(0)
+    cash = np.concatenate((cash_pb, np.zeros(profile.n_ps), cash_bs))
+    if not (np.isfinite(shares).all() and np.isfinite(cash).all()):
+        raise EndowmentError("profile drew a share holding or cash amount beyond float range")
+    return LazyPopulation(kinds, shares.tolist(), cash)
 
 
 def _share_values(dist: DistSpec, n: int, rng: Rng) -> np.ndarray:
@@ -303,13 +303,9 @@ def _share_values(dist: DistSpec, n: int, rng: Rng) -> np.ndarray:
     return np.maximum(1.0, np.rint(dist.sample(n, rng)))
 
 
-def _cash_values(
-    dist: DistSpec, n: int, floor: float, rng: Rng
-) -> list[Fraction]:
-    vals = np.maximum(floor, dist.sample(n, rng))
-    # rounded draws are whole numbers; the integer constructor is much
-    # cheaper than the float one
-    return [Fraction(int(v)) if v.is_integer() else Fraction(v) for v in vals.tolist()]
+def _cash_values(dist: DistSpec, n: int, floor: float, rng: Rng) -> np.ndarray:
+    """Cash amounts, floored at `floor`, as floats."""
+    return np.maximum(floor, dist.sample(n, rng))
 
 
 # endowment CSV column layout; kind uses the short labels PS / PB / BS
@@ -406,10 +402,12 @@ def simulate_profile_day(
 
     The seed is split into a generation stream and a day stream (see
     `_profile_streams`), so the whole experiment is pinned by one seed.
+    The day equals `run_day` on `generate_population` from the same two
+    streams, but the population stays in columns and only the agents that
+    act are built (see the `engine` docstring).
     """
     gen_ss, day_ss = _profile_streams(seed)
-    population = generate_population(profile, make_rng(gen_ss))
-    _, day = run_day(population, params, day_ss)
+    _, day = run_day(_draw_columns(profile, make_rng(gen_ss)), params, day_ss)
     return day
 
 

@@ -14,9 +14,9 @@ A day runs in two phases over a fresh, empty book:
 Offers still live after the last round are deleted; nothing carries over to
 the next day.
 
-Randomness layout per day (one generator, consumed in this order): the
-pre-trading visit, then one visit per trading round. A visit makes three
-draws and no others:
+The day's tape: a day draws all its randomness before anything trades
+(`draw_day`), from one generator, visit by visit: the pre-trading visit,
+then one visit per trading round. A visit makes three draws and no others:
 
 1. a permutation of its agents;
 2. one uniform per visit position; the agent at a position is active when
@@ -27,22 +27,46 @@ draws and no others:
    pure buyer's pick and acceptance, and room for a buyer-seller's search,
    which never has more candidates than there are sellers.
 
+The tape keeps each visit's active agent ids in visit order and its block.
 Each active agent's rule is handed its row and reads it as listed in
 `agents`; the rules draw nothing themselves. So the draws of a day depend
 only on the population's kinds, the activation probabilities and W, never
-on the book or on balances. The rules are called for active agents only:
-activation is decided here and nowhere else.
+on the book or on balances, and drawing them all first takes the same
+values in the same order as drawing each visit when it runs. The rules are
+called for active agents only: activation is decided here and nowhere else.
+
+Inert pure buyers: once pre-trading has filled the book, the trading
+rounds call no rule for a pure buyer whose budget fails the float gate of
+`agents._budget_fill` against the cheapest offer in the book, at price
+`p_min`, that is `pb_purchase_ratio * float(cash) < p_min * (1 - 1e-9) -
+1e-300` (cash beyond float range never fails it), nor for any pure buyer
+when the book is empty. The skip is exact. Within a day a pure buyer's
+cash never rises, since it never sells, and the cheapest live price never
+falls, since offers enter only in pre-trading; float rounding is
+monotone, so the gate rejects an inert buyer at every offer it could pick
+in any round, where `pb_decide` would return None and change nothing. Its
+row is on the tape already, so skipping the call changes no draw.
+
+The engine reads a population only as every agent's kind, every pure
+buyer's cash (for the skip) and `population[i]` for the agents that act.
+A `core.LazyPopulation` answers the first two from its columns, so a
+generated day builds an `AgentState` only for the sellers active in
+pre-trading and the buyers active in trading that are not inert.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from fractions import Fraction
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .agents import (
+    _GATE,
+    _UNDERFLOW,
     TradeFill,
     _transfer,
     bs_buy_decide,
@@ -53,7 +77,9 @@ from .agents import (
 )
 from .core import (
     AgentKind,
+    KIND_ORDER,
     AgentState,
+    LazyPopulation,
     ModelParams,
     Offer,
     OfferBook,
@@ -63,8 +89,10 @@ from .core import (
 from .metrics import DayMetrics, compute_day_metrics
 
 __all__ = [
+    "DayTape",
     "DayTrace",
     "FillEvent",
+    "draw_day",
     "export_trace",
     "replay_fills",
     "run_day",
@@ -95,37 +123,115 @@ class DayTrace:
     fills: list[FillEvent]
 
 
-def _visit(
-    agents: Sequence[AgentState], probs: np.ndarray, width: int, rng: Rng
-) -> Iterator[tuple[AgentState, list[float]]]:
-    """Visit `agents` once each in a uniformly random order, activating the
-    agent at each position with its probability in `probs`. Makes all three
-    draws of the visit at once and returns the active agents in visit order,
-    each paired with its row of `width` uniforms. Draws nothing when
-    `agents` is empty."""
-    if not agents:
-        return zip()
-    order = rng.permutation(len(agents))
-    active = order[rng.random(len(agents)) < probs[order]].tolist()
-    rows = rng.random((len(active), width)).tolist()
-    return zip([agents[i] for i in active], rows)
+@dataclass(frozen=True, slots=True)
+class Visit:
+    """One visit on a day's tape: the ids of the agents it activates, in
+    visit order, and its block of uniforms, one row per active agent."""
+
+    ids: np.ndarray
+    rows: np.ndarray
+
+
+@dataclass(frozen=True, slots=True)
+class DayTape:
+    """Every draw of one day: the pre-trading visit, then one visit per
+    trading round. `kinds` is the kind column of the population it was
+    drawn for (see `core.KIND_ORDER`)."""
+
+    kinds: np.ndarray
+    pretrading: Visit
+    rounds: list[Visit]
+
+
+# kind codes: positions in KIND_ORDER
+_CODE = {k: c for c, k in enumerate(KIND_ORDER)}
+_PB, _PS = _CODE[AgentKind.PURE_BUYER], _CODE[AgentKind.PURE_SELLER]
+
+
+def draw_day(population: Sequence[AgentState], params: ModelParams, rng: Rng) -> DayTape:
+    """Draw the whole day of `population`, in the order the module
+    docstring lists. Reads only the agents' kinds."""
+    kinds = _kind_column(population)
+    return DayTape(
+        kinds, _draw_pretrading(kinds, params, rng), _draw_rounds(kinds, params, rng)
+    )
+
+
+def _kind_column(population: Sequence[AgentState]) -> np.ndarray:
+    """Every agent's kind code, read without building a lazy population's agents."""
+    if isinstance(population, LazyPopulation):
+        return population.kinds
+    return np.array([_CODE[a.kind] for a in population], dtype=np.int8)
+
+
+def _draw_pretrading(kinds: np.ndarray, params: ModelParams, rng: Rng) -> Visit:
+    sellers = np.flatnonzero(kinds != _PB)
+    probs = np.where(kinds[sellers] == _PS, params.ps_offer_prob, params.bs_offer_prob)
+    return _draw_visit(sellers, probs, 1, rng)
+
+
+def _draw_rounds(kinds: np.ndarray, params: ModelParams, rng: Rng) -> list[Visit]:
+    buyers = np.flatnonzero(kinds != _PS)
+    probs = np.where(kinds[buyers] == _PB, params.pb_trade_prob, params.bs_trade_prob)
+    n_sellers = len(kinds) - int(np.count_nonzero(kinds == _PB))
+    width = max(2, min(params.bs_search_len, n_sellers))
+    return [_draw_visit(buyers, probs, width, rng) for _ in range(params.n_trading_iters)]
+
+
+def _draw_visit(ids: np.ndarray, probs: np.ndarray, width: int, rng: Rng) -> Visit:
+    """Visit the agents `ids` once each in a uniformly random order,
+    activating the agent at each position with its probability in `probs`,
+    and draw a row of `width` uniforms per active agent. Draws nothing when
+    `ids` is empty."""
+    if not len(ids):
+        return Visit(ids, np.empty((0, width)))
+    order = rng.permutation(len(ids))
+    active = ids[order[rng.random(len(ids)) < probs[order]]]
+    return Visit(active, rng.random((len(active), width)))
+
+
+def _inert_pure_buyers(
+    population: Sequence[AgentState], kinds: np.ndarray, book: OfferBook, params: ModelParams
+) -> np.ndarray:
+    """Mask of the pure buyers that can never fill against `book`; see the
+    module docstring."""
+    pure = kinds == _PB
+    if not book:
+        return pure
+    # _budget_fill's float gate, at the cheapest price the day will offer
+    gate = min(o.price for o in book.offers) * _GATE - _UNDERFLOW
+    if isinstance(population, LazyPopulation):
+        cash = population.cash
+    else:
+        cash = np.array(
+            [_float_cash(a.cash) if p else 0.0 for a, p in zip(population, pure.tolist())]
+        )
+    return pure & (params.pb_purchase_ratio * cash < gate)
+
+
+def _float_cash(cash: Fraction) -> float:
+    """`float(cash)`, or infinity for cash beyond float range."""
+    try:
+        return cash.numerator / cash.denominator
+    except OverflowError:
+        return math.inf
 
 
 def run_pretrading(
-    population: Sequence[AgentState], params: ModelParams, rng: Rng
+    population: Sequence[AgentState], params: ModelParams, draws: DayTape | Rng
 ) -> OfferBook:
-    """Visit each seller once in random order; return the resulting book."""
+    """Visit each seller once in random order; return the resulting book.
+
+    `draws` is the day's tape, or a generator to draw the pre-trading
+    visit from.
+    """
+    if isinstance(draws, DayTape):
+        visit = draws.pretrading
+    else:
+        visit = _draw_pretrading(_kind_column(population), params, draws)
     book = OfferBook()
-    sellers = [a for a in population if a.kind.sells]
-    probs = np.array(
-        [
-            params.ps_offer_prob
-            if a.kind is AgentKind.PURE_SELLER
-            else params.bs_offer_prob
-            for a in sellers
-        ]
-    )
-    for agent, u in _visit(sellers, probs, 1, rng):
+    for i, u in zip(visit.ids.tolist(), visit.rows.tolist()):
+        agent = population[i]
         if agent.kind is AgentKind.PURE_SELLER:
             offer = ps_decide(agent, params, u)
         else:
@@ -139,25 +245,26 @@ def run_trading(
     population: Sequence[AgentState],
     book: OfferBook,
     params: ModelParams,
-    rng: Rng,
+    draws: DayTape | Rng,
 ) -> DayTrace:
     """Run the trading rounds against a start-of-day book, settling fills
-    in place on `population` and `book`. Returns the day's trace."""
+    in place on `population` and `book`. Returns the day's trace.
+
+    `draws` is the day's tape, or a generator to draw the rounds from.
+    Inert pure buyers are skipped (see the module docstring).
+    """
+    if isinstance(draws, DayTape):
+        kinds, rounds = draws.kinds, draws.rounds
+    else:
+        kinds = _kind_column(population)
+        rounds = _draw_rounds(kinds, params, draws)
     offers_entered = [o.copy() for o in book.offers]
-    buyers = [a for a in population if a.kind.buys]
-    probs = np.array(
-        [
-            params.pb_trade_prob
-            if a.kind is AgentKind.PURE_BUYER
-            else params.bs_trade_prob
-            for a in buyers
-        ]
-    )
-    n_sellers = sum(1 for a in population if a.kind.sells)
-    width = max(2, min(params.bs_search_len, n_sellers))
+    live = ~_inert_pure_buyers(population, kinds, book, params)
     fills: list[FillEvent] = []
-    for it in range(1, params.n_trading_iters + 1):
-        for agent, u in _visit(buyers, probs, width, rng):
+    for it, visit in enumerate(rounds, start=1):
+        keep = live[visit.ids]
+        for i, u in zip(visit.ids[keep].tolist(), visit.rows[keep].tolist()):
+            agent = population[i]
             if agent.kind is AgentKind.PURE_BUYER:
                 fill = pb_decide(agent, book, params, u)
             else:
@@ -170,20 +277,22 @@ def run_trading(
 
 
 def run_day(
-    population: list[AgentState],
+    population: Sequence[AgentState],
     params: ModelParams,
     seed: int | np.random.SeedSequence,
 ) -> tuple[DayTrace, DayMetrics]:
     """Simulate one full day from `seed`, mutating `population` in place.
 
-    Returns the trace and the day metrics. Residual offers are discarded;
-    callers that need the pristine balances must copy before calling.
+    `population` is a list of agents or a `core.LazyPopulation`, which
+    builds only the agents that act. Returns the trace and the day metrics.
+    Residual offers are discarded; callers that need the pristine balances
+    must copy before calling.
     """
     params.validate()
-    rng = make_rng(seed)
-    book = run_pretrading(population, params, rng)
+    tape = draw_day(population, params, make_rng(seed))
+    book = run_pretrading(population, params, tape)
     book_initial = book.snapshot()
-    trace = run_trading(population, book, params, rng)
+    trace = run_trading(population, book, params, tape)
     return trace, compute_day_metrics(trace, book_initial, params)
 
 

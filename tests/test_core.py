@@ -15,6 +15,7 @@ from fracmarket import (
     ModelParams,
     OfferBook,
     make_rng,
+    run_day,
 )
 
 from conftest import make_agent, make_offer, make_params
@@ -268,6 +269,25 @@ def test_price_bounds_must_be_ordered():
                 {"ps_price_hi": math.inf}, {"market_lo": 0.75, "market_hi": math.inf}):
         with pytest.raises(ConfigError):
             make_params(**bad).validate()
+
+
+@pytest.mark.parametrize(
+    "fields, band",
+    [
+        # lo * p_ref underflows to 0: offers would be priced 0.0
+        (dict(p_ref=1e-200, ps_price_lo=1e-200, ps_price_hi=1e-200), r"\(0\.0, 0\.0\)"),
+        # hi * p_ref overflows: offers would be priced nan
+        (dict(p_ref=1e300, ps_price_lo=1e10, ps_price_hi=1e10), r"\(inf, inf\)"),
+        (dict(p_ref=1e300, bs_price_lo=0.5, bs_price_hi=1e10), r"\(5e\+299, inf\)"),
+    ],
+)
+def test_a_price_band_times_p_ref_must_be_positive_and_finite(fields, band):
+    params = make_params(ps_offer_prob=1.0, **fields)
+    with pytest.raises(ConfigError, match=r"price_hi\) \* p_ref=" + band) as e:
+        params.validate()
+    assert "\n" not in str(e.value)
+    with pytest.raises(ConfigError):
+        run_day([make_agent(0, AgentKind.PURE_SELLER, shares=10)], params, 0)
 
 
 def test_zero_width_price_bounds_allowed():

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracmarket import (
     AgentKind,
@@ -27,8 +29,11 @@ from fracmarket import (
     save_population,
     simulate_profile_day,
 )
-from fracmarket.endowments import load_profile, save_profile
+from fracmarket.endowments import _draw_columns, load_profile, save_profile
+from fracmarket.engine import draw_day, run_pretrading
 from fracmarket.experiments import DEFAULT_BOXES, _sample_candidate
+
+from test_reference_day import market_params
 
 PS = AgentKind.PURE_SELLER
 PB = AgentKind.PURE_BUYER
@@ -113,6 +118,15 @@ def test_generate_holder_fraction_extremes():
     assert all(a.shares >= 1 for a in everyone if a.kind is not PB)
 
 
+def test_generated_cash_is_the_exact_value_of_its_draw():
+    # neither 0.1 nor a floor of 112.25 is whole: cash is the float's exact value
+    profile = small_profile(cash_dist_pb=DistSpec("constant", {"value": 0.1}))
+    pop = generate_population(profile, make_rng(0))
+    assert all(a.cash == Fraction(0.1) != Fraction(1, 10) for a in pop if a.kind is PB)
+    floored = generate_population(small_profile(cash_floor=112.25), make_rng(0))
+    assert all(a.cash == Fraction(449, 4) for a in floored if a.kind is not PS)
+
+
 def test_generate_holder_fraction_statistics():
     profile = small_profile(n_ps=400, ps_holder_frac=0.5)
     pop = generate_population(profile, make_rng(7))
@@ -163,6 +177,90 @@ def test_zero_holders_make_ratio_undefined():
     day = simulate_profile_day(profile, ModelParams.baseline(), 5)
     assert day.n_offers == 0
     assert day.liquidity_ratio is None
+
+
+# --- the lazy profile day ----------------------------------------------------
+
+_dists = st.one_of(
+    st.builds(
+        lambda v: DistSpec("constant", {"value": v}),
+        st.sampled_from([0.0, 1.0, 37.5, 0.1]) | st.floats(0.0, 1e4),
+    ),
+    st.builds(
+        lambda lo, w: DistSpec("uniform-integer", {"lo": lo, "hi": lo + w}),
+        st.integers(0, 500),
+        st.integers(0, 500),
+    ),
+    st.builds(
+        lambda mu, sigma: DistSpec("lognormal-rounded", {"mu": mu, "sigma": sigma}),
+        st.floats(0.0, 8.0),
+        st.floats(0.0, 2.0),
+    ),
+    st.builds(
+        lambda shape, scale: DistSpec("pareto-rounded", {"shape": shape, "scale": scale}),
+        st.floats(0.5, 4.0),
+        st.floats(0.0, 500.0),
+    ),
+)
+_counts = st.sampled_from([0, 1]) | st.integers(0, 60)
+_fracs = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def profiles(draw):
+    return EndowmentProfile(
+        share_dist_ps=draw(_dists),
+        share_dist_bs=draw(_dists),
+        cash_dist_pb=draw(_dists),
+        cash_dist_bs=draw(_dists),
+        n_pb=draw(_counts),
+        n_ps=draw(_counts),
+        n_bs=draw(_counts),
+        ps_holder_frac=draw(_fracs),
+        bs_holder_frac=draw(_fracs),
+        cash_floor=draw(st.sampled_from([0.0, 0.5, 12.25]) | st.floats(0.0, 100.0)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile=profiles(), params=market_params(), seed=st.integers(0, 2**32))
+def test_profile_day_equals_a_built_population_day(profile, params, seed):
+    # the lazy path builds only the agents that act; the day must be the one
+    # run_day makes on the whole generated population from the same streams
+    gen_ss, day_ss = np.random.SeedSequence(seed).spawn(2)
+    population = generate_population(profile, make_rng(gen_ss))
+    _, want = run_day(population, params, day_ss)
+    assert simulate_profile_day(profile, params, seed) == want
+
+
+def test_profile_day_builds_only_the_agents_that_act():
+    # the sellers active in pre-trading and the buyers active in trading
+    # that can afford the cheapest offer; a few hundred of 1365
+    profile, params = default_profile(), ModelParams.baseline()
+    gen_ss, day_ss = np.random.SeedSequence(8).spawn(2)
+    lazy = _draw_columns(profile, make_rng(gen_ss))
+    full = generate_population(profile, make_rng(gen_ss))
+    tape = draw_day(lazy, params, make_rng(day_ss))
+    book = run_pretrading(full, params, tape)
+    gate = min(o.price for o in book.offers) * (1.0 - 1e-9) - 1e-300
+    acting = set(tape.pretrading.ids.tolist()) | {
+        i
+        for v in tape.rounds
+        for i in v.ids.tolist()
+        if not (full[i].kind is PB and params.pb_purchase_ratio * float(full[i].cash) < gate)
+    }
+    run_day(lazy, params, day_ss)
+    built = {i for i, a in enumerate(lazy._agents) if a is not None}
+    assert built == acting
+    assert len(built) < len(lazy) / 3
+
+
+def test_a_profile_draw_beyond_float_range_is_an_endowment_error():
+    profile = small_profile(cash_dist_pb=DistSpec("lognormal-rounded", {"mu": 800.0, "sigma": 0.0}))
+    with pytest.raises(EndowmentError, match="beyond float range"):
+        generate_population(profile, make_rng(0))
+    with pytest.raises(EndowmentError, match="beyond float range"):
+        simulate_profile_day(profile, ModelParams.baseline(), 0)
 
 
 # --- CSV round trip ---------------------------------------------------------

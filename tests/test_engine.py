@@ -21,6 +21,7 @@ from fracmarket import (
 
 import fracmarket.engine as engine
 from conftest import make_agent, make_params, make_population, traded_by_round
+from reference_day import reference_day
 
 PS = AgentKind.PURE_SELLER
 PB = AgentKind.PURE_BUYER
@@ -117,33 +118,23 @@ def test_run_day_calls_the_rules_through_the_engine(monkeypatch):
     assert calls["pb_decide"] == 10 * params.n_trading_iters
 
 
-RULES = ("ps_decide", "bs_offer_decide", "pb_decide", "bs_buy_decide")
+def _drawn_tape(monkeypatch, pop, params, seed):
+    # run one day, recording the tape it draws; returns every visit as
+    # (active ids, rows), visit 0 being pre-trading and visit r trading
+    # round r, together with the day's fills
+    tapes = []
 
-
-def _rule_calls(monkeypatch, pop, params, seed):
-    # run one day with engine's rules and visits wrapped; returns the
-    # (visit, agent id) of every rule call, visit 0 being pre-trading and
-    # visit r trading round r, together with the day's fills
-    calls, visits = [], []
-
-    def visiting(*args, **kwargs):
-        visits.append(None)
-        return visit(*args, **kwargs)
-
-    def recording(rule):
-        def wrapper(agent, *args):
-            calls.append((len(visits) - 1, agent.id))
-            return rule(agent, *args)
-
-        return wrapper
+    def recording(*args):
+        tapes.append(draw(*args))
+        return tapes[-1]
 
     with monkeypatch.context() as m:
-        visit = engine._visit
-        m.setattr(engine, "_visit", visiting)
-        for name in RULES:
-            m.setattr(engine, name, recording(getattr(engine, name)))
+        draw = engine.draw_day
+        m.setattr(engine, "draw_day", recording)
         trace, _ = run_day(pop, params, seed)
-    return calls, [(ev.iteration, ev.fill) for ev in trace.fills]
+    (tape,) = tapes
+    visits = [(v.ids.tolist(), v.rows.tolist()) for v in (tape.pretrading, *tape.rounds)]
+    return visits, [(ev.iteration, ev.fill) for ev in trace.fills]
 
 
 @pytest.mark.parametrize(
@@ -151,8 +142,8 @@ def _rule_calls(monkeypatch, pop, params, seed):
 )
 def test_who_acts_when_does_not_depend_on_the_book(monkeypatch, change):
     # the parameters changed here move fills, the book and balances, but
-    # not a single draw: every day calls the same rules for the same agents
-    # in the same order
+    # not a single draw: every day draws the same tape, the same agents
+    # active in the same visits in the same order, with the same rows
     base = make_params(
         ps_offer_prob=0.6, bs_offer_prob=0.6, pb_trade_prob=0.5,
         bs_trade_prob=0.5, bs_search_len=3, debit_exit_fee=True,
@@ -160,10 +151,10 @@ def test_who_acts_when_does_not_depend_on_the_book(monkeypatch, change):
     fills_differ = []
     for seed in range(4):
         pops = [make_population(n_pb=40, n_ps=20, n_bs=15, shares=12, cash=90) for _ in range(2)]
-        calls, fills = _rule_calls(monkeypatch, pops[0], base, seed)
-        calls_b, fills_b = _rule_calls(monkeypatch, pops[1], base.replace(**change), seed)
-        assert calls_b == calls
-        assert {r for r, _ in calls} == set(range(base.n_trading_iters + 1))
+        tape, fills = _drawn_tape(monkeypatch, pops[0], base, seed)
+        tape_b, fills_b = _drawn_tape(monkeypatch, pops[1], base.replace(**change), seed)
+        assert tape_b == tape
+        assert len(tape) == base.n_trading_iters + 1 and all(ids for ids, _ in tape)
         fills_differ.append(fills_b != fills)
     assert any(fills_differ)  # otherwise the comparison is vacuous
 
@@ -357,6 +348,87 @@ def test_run_day_validates_params_before_running():
 def test_run_day_rejects_a_bad_seed(seed):
     with pytest.raises(ConfigError, match=rf"seed={seed!r} must be a non-negative integer"):
         run_day([], make_params(), seed)
+
+
+# --- inert pure buyers ---------------------------------------------------------
+
+# one pure seller posts 3 shares at exactly 25.0, which every pure buyer
+# accepts (k_pb * (25 - 50) = -50 saturates the acceptance curve)
+SKIP_PARAMS = make_params(
+    ps_offer_prob=1.0, ps_offer_ratio=0.5, ps_price_lo=0.5, ps_price_hi=0.5,
+    pb_trade_prob=1.0, pb_purchase_ratio=0.5, n_trading_iters=3,
+)
+# the least budget that _budget_fill's float gate lets through at 25.0
+GATE_AT_25 = 25.0 * (1.0 - 1e-9) - 1e-300
+
+
+def _day_with_pb_calls(monkeypatch, roster, params, seed=0):
+    # run_day on a copy of `roster`, counting pb_decide calls per buyer;
+    # the day must equal the reference day
+    calls = {}
+
+    def counting(agent, *args):
+        calls[agent.id] = calls.get(agent.id, 0) + 1
+        return rule(agent, *args)
+
+    rule = engine.pb_decide
+    monkeypatch.setattr(engine, "pb_decide", counting)
+    pop = [a.copy() for a in roster]
+    trace, day = run_day(pop, params, seed)
+    want = reference_day(roster, params, seed)
+    got_fills = [
+        (ev.iteration, f.buyer, f.seller, f.price, f.units, f.notional, f.purchase_budget)
+        for ev in trace.fills
+        for f in (ev.fill,)
+    ]
+    assert got_fills == want["fills"]
+    assert [(a.shares, a.cash) for a in pop] == want["balances"]
+    assert day == want["metrics"]
+    return calls, trace
+
+
+def _skip_roster(*budgets):
+    # pure buyers 0..n-1 with budget (cash * 0.5) `budgets`, then the seller
+    pop = [make_agent(i, PB, 0, 2 * Fraction(b)) for i, b in enumerate(budgets)]
+    return pop + [make_agent(len(pop), PS, shares=6)]
+
+
+def test_a_budget_exactly_at_the_cheapest_price_fills(monkeypatch):
+    calls, trace = _day_with_pb_calls(monkeypatch, _skip_roster(25.0), SKIP_PARAMS)
+    assert calls == {0: 3}
+    assert [(ev.fill.buyer, ev.fill.units) for ev in trace.fills] == [(0, 1)]
+
+
+def test_a_budget_one_step_below_the_gate_is_skipped(monkeypatch):
+    # buyer 0 sits one float step below the gate and is never called; buyer
+    # 1 sits at it and is called, and so is buyer 2, one step below the
+    # price, whom only the exact test turns down
+    below = math.nextafter(GATE_AT_25, 0.0)
+    roster = _skip_roster(below, GATE_AT_25, math.nextafter(25.0, 0.0))
+    calls, trace = _day_with_pb_calls(monkeypatch, roster, SKIP_PARAMS)
+    assert calls == {1: 3, 2: 3}
+    assert trace.fills == []
+
+
+def test_cash_beyond_float_range_is_never_skipped(monkeypatch):
+    roster = _skip_roster(Fraction(10**400), 1.0)
+    calls, trace = _day_with_pb_calls(monkeypatch, roster, SKIP_PARAMS)
+    assert calls == {0: 3}
+    assert [(ev.fill.buyer, ev.fill.units) for ev in trace.fills] == [(0, 3)]
+
+
+def test_an_empty_book_skips_every_pure_buyer(monkeypatch):
+    roster = _skip_roster(Fraction(10**400), 25.0, 0.0)
+    roster.append(make_agent(len(roster), BS, shares=6, cash=1000))
+    params = SKIP_PARAMS.replace(ps_offer_prob=0.0, bs_offer_prob=0.0, bs_trade_prob=1.0)
+    bs_calls = []
+    rule = engine.bs_buy_decide
+    monkeypatch.setattr(
+        engine, "bs_buy_decide", lambda agent, *args: bs_calls.append(agent.id) or rule(agent, *args)
+    )
+    calls, trace = _day_with_pb_calls(monkeypatch, roster, params)
+    assert calls == {} and trace.fills == []
+    assert bs_calls == [len(roster) - 1] * params.n_trading_iters
 
 
 # --- exact settlement digest --------------------------------------------------
