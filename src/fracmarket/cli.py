@@ -8,111 +8,45 @@ Subcommands:
 * ``gen-endowments``: draw a population from a profile into a CSV
 * ``calibrate``: random-search an endowment profile against targets
 
-Settings come from defaults, then an optional JSON config file, then flags,
-each layer overriding the previous one. Stdout rounds to three decimals;
-files written via --out carry full precision. Exit status is 0 on success,
-1 on a configuration problem and 2 on a runtime failure.
+Each setting has one row in `_SETTINGS`. A setting comes from its flag, else
+from its key in the optional JSON config file, else from its default; a
+flag's text and a config value go through the same reader. A JSON null
+counts as unset. Stdout rounds to three decimals; files written via --out
+carry full precision. Exit status is 0 on success, 1 on a configuration
+problem and 2 on a runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import (
-    ConfigError,
-    EndowmentError,
-    MarketError,
-    ModelParams,
-    as_number,
-    as_seed,
-    make_rng,
+    ConfigError, EndowmentError, MarketError, ModelParams, as_number, as_seed, make_rng,
 )
 from .endowments import (
-    EndowmentProfile,
-    _profile_streams,
-    default_profile,
-    generate_population,
-    load_population,
-    load_profile,
-    save_population,
-    save_profile,
+    EndowmentProfile, _profile_streams, default_profile, generate_population,
+    load_population, load_profile, save_population, save_profile,
 )
 from .engine import export_trace, run_day
 from .experiments import (
-    DEFAULT_TARGETS,
-    CalibrationTargets,
-    SweepSpec,
-    calibrate_profile,
-    run_batch,
-    run_sweep,
-    write_sweep_csv,
-    write_sweep_json,
+    DEFAULT_TARGETS, CalibrationTargets, SweepSpec, calibrate_profile, run_batch, run_sweep,
+    write_sweep_csv, write_sweep_json,
 )
-from .metrics import METRIC_FIELDS, AggregateMetrics, DayMetrics
+from .metrics import METRIC_FIELDS
 
 
 class _Parser(argparse.ArgumentParser):
     # bad flags are a configuration problem, keep them on exit status 1
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> _Parser:
-    p = _Parser(prog="fracmarket", description=__doc__.split("\n\n")[0])
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(sp, reps_default=None):
-        sp.add_argument("--config", type=Path, help="JSON config file")
-        sp.add_argument("--seed", type=int, help="master seed (default 0)")
-        sp.add_argument("--out", type=Path, help="write results to this file")
-        sp.add_argument(
-            "--format", choices=("csv", "json"), help="output file format (default csv)"
-        )
-
-    sp = sub.add_parser("run", help="simulate one trading day")
-    common(sp)
-    sp.add_argument("--population", type=Path, help="endowment CSV to load")
-    sp.add_argument("--profile", type=Path, help="endowment profile JSON to draw from")
-    sp.add_argument("--trace", type=Path, help="write per-fill trace (JSON lines)")
-
-    sp = sub.add_parser("batch", help="aggregate many independent days")
-    common(sp)
-    sp.add_argument("--population", type=Path)
-    sp.add_argument("--profile", type=Path)
-    sp.add_argument("--reps", type=int, help="number of experiments (default 1000)")
-    sp.add_argument("--jobs", type=int, help="worker processes (default 1)")
-
-    sp = sub.add_parser("sweep", help="batch per value of one parameter")
-    common(sp)
-    sp.add_argument("--population", type=Path)
-    sp.add_argument("--profile", type=Path)
-    sp.add_argument("--param", help="axis name, e.g. ps_offer_prob or market_width")
-    sp.add_argument(
-        "--values",
-        help="comma-separated values; use lo:hi items for market_range",
-    )
-    sp.add_argument("--reps", type=int)
-    sp.add_argument("--jobs", type=int)
-
-    sp = sub.add_parser("gen-endowments", help="draw a population into a CSV")
-    sp.add_argument("--config", type=Path)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--profile", type=Path)
-    sp.add_argument("--out", type=Path, required=True)
-
-    sp = sub.add_parser("calibrate", help="search an endowment profile")
-    sp.add_argument("--config", type=Path)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--targets", type=Path, help="JSON file with target metrics")
-    sp.add_argument("--budget", type=int, help="candidates to evaluate (default 200)")
-    sp.add_argument("--reps", type=int, help="days per candidate (default 200)")
-    sp.add_argument("--out", type=Path, required=True, help="profile JSON to write")
-    sp.add_argument("--progress", action="store_true", help="log each candidate")
-    return p
 
 
 def _load_config(path: Path | None, what: str = "config") -> dict:
@@ -132,63 +66,190 @@ def _load_config(path: Path | None, what: str = "config") -> dict:
     return cfg
 
 
-def _build_params(cfg: dict) -> ModelParams:
-    overrides = cfg.get("params", {})
+# Readers: `read(name, raw)` turns a flag's text or a config value into the
+# setting's value, or raises ConfigError naming the setting and the value.
+# Ranges are checked where a value is used.
+
+
+def _text(name: str, raw) -> str:
+    if isinstance(raw, str) and raw:
+        return raw
+    raise ConfigError(f"{name}={raw!r} must be a non-empty string")
+
+
+def _path(name: str, raw) -> Path:
+    return Path(_text(name, raw))
+
+
+def _integer(name: str, raw) -> int:
+    return as_number(name, raw, int)
+
+
+def _master_seed(name: str, raw) -> int:
+    return as_seed(_integer(name, raw), name)
+
+
+def _file_format(name: str, raw) -> str:
+    if raw in ("csv", "json"):
+        return raw
+    raise ConfigError(f"{name}={raw!r} must be csv or json")
+
+
+def _roster(name: str, raw) -> list:
+    return load_population(_path(name, raw))
+
+
+def _profile(name: str, raw) -> EndowmentProfile:
+    """A profile JSON file's path, or an inline profile object."""
+    if isinstance(raw, dict):
+        return EndowmentProfile.from_json_dict(raw)
+    return load_profile(_path(name, raw))
+
+
+def _targets(name: str, raw) -> CalibrationTargets:
+    path = _path(name, raw)
+    doc = _load_config(path, "targets")
+    try:
+        return CalibrationTargets(**{k: as_number(k, doc[k]) for k in CalibrationTargets.FIELDS})
+    except KeyError as e:
+        raise ConfigError(f"targets file lacks {e.args[0]!r}") from None
+    except ConfigError as e:
+        raise ConfigError(f"targets file {path}: {e}") from None
+
+
+def _params(name: str, overrides) -> ModelParams:
     if not isinstance(overrides, dict):
-        raise ConfigError('config "params" must be an object of field overrides')
-    known = set(ModelParams.field_names())
-    unknown = sorted(set(overrides) - known)
+        raise ConfigError(f'config "{name}" must be an object of field overrides')
+    unknown = sorted(set(overrides) - set(ModelParams.field_names()))
     if unknown:
         raise ConfigError(f"unknown parameter fields in config: {', '.join(unknown)}")
-    return ModelParams().replace(
-        **{k: ModelParams.coerce(k, v) for k, v in overrides.items()}
-    )
+    return ModelParams().replace(**{k: ModelParams.coerce(k, v) for k, v in overrides.items()})
 
 
-def _profile(args, cfg: dict) -> EndowmentProfile:
-    """--profile, else the config's "profile" (a path or an inline object),
-    else the packaged default profile."""
-    prof = getattr(args, "profile", None) or cfg.get("profile")
-    if prof is None:
-        return default_profile()
-    if isinstance(prof, dict):
-        return EndowmentProfile.from_json_dict(prof)
-    if not isinstance(prof, (str, Path)):
-        raise ConfigError(f'"profile" must be a path or an object, not {prof!r}')
-    return load_profile(prof)
+def _sweep_items(name: str, raw) -> list:
+    """A JSON list (a pair as a two-item list), or comma-separated text (a
+    pair as ``lo:hi``). `_sweep_values` reads text items for the axis."""
+    items = raw
+    if isinstance(raw, str):
+        items = [s.split(":", 1) if ":" in s else s for s in map(str.strip, raw.split(",")) if s]
+    if not (isinstance(items, list) and items):
+        raise ConfigError(f"{name}={raw!r} must be a non-empty list of sweep values")
+    return items
 
 
-def _population_source(args, cfg: dict):
-    """Resolve where the population comes from; precedence: --population,
-    --profile, config keys, packaged default profile."""
-    pop_path = getattr(args, "population", None) or cfg.get("population")
-    if pop_path:
-        return load_population(pop_path)
-    return _profile(args, cfg)
+def _sweep_values(parameter: str, items: list) -> tuple:
+    """Text items read as the axis reads numbers (ModelParams.coerce for a
+    field, a float for a composite axis), pairs as tuples; `apply_axis`
+    checks the rest."""
+
+    def number(item):
+        if not isinstance(item, str):
+            return item
+        if parameter in ModelParams.field_names():
+            return ModelParams.coerce(parameter, item)
+        return as_number(parameter, item)
+
+    return tuple(tuple(map(number, v)) if isinstance(v, list) else number(v) for v in items)
 
 
-def _setting(args, cfg: dict, name: str, default):
-    v = getattr(args, name, None)
-    if v is not None:
-        return v
-    return cfg.get(name, default)
+class _Setting(NamedTuple):
+    """`defaults` maps each subcommand that reads the setting to its default
+    (`_NEEDED`: none, the setting must be given). `key` is the config key,
+    dotted inside an object, or None for a flag-only setting. A setting
+    without a reader is an on/off flag."""
+
+    read: Callable[[str, object], object] | None
+    defaults: dict
+    key: str | None
+    help: str
+    flag: bool = True
 
 
-def _int_setting(args, cfg: dict, name: str, default: int) -> int:
-    """An integer setting (reps, jobs, budget) from the flag, the config or
-    `default`; a non-integer value is a ConfigError. Ranges are checked
-    where the value is used."""
-    return as_number(name, _setting(args, cfg, name, default), int)
+_NEEDED = object()
 
 
-def _seed(args, cfg: dict) -> int:
-    return as_seed(_int_setting(args, cfg, "seed", 0))
+def _on(commands: str, default=None) -> dict:
+    return dict.fromkeys(commands.split(), default)
+
+
+_SIM = "run batch sweep"
+_ALL = f"{_SIM} gen-endowments calibrate"
+_OUT = {**_on(_SIM), **_on("gen-endowments calibrate", _NEEDED)}
+_REPS = {**_on("batch sweep", 1000), "calibrate": 200}
+
+# flags are declared in this order
+_SETTINGS = {
+    "config": _Setting(_path, _on(_ALL), None, "JSON config file"),
+    "seed": _Setting(_master_seed, _on(_ALL, 0), "seed", "master seed"),
+    "out": _Setting(_path, _OUT, None, "file to write results to (calibrate: the profile)"),
+    "format": _Setting(_file_format, _on(_SIM, "csv"), "format", "file format, csv or json"),
+    "population": _Setting(_roster, _on(_SIM), "population", "endowment CSV to load"),
+    "profile": _Setting(_profile, _on(f"{_SIM} gen-endowments"), "profile", "profile JSON"),
+    "trace": _Setting(_path, _on("run"), "trace", "write per-fill trace (JSON lines)"),
+    "param": _Setting(_text, _on("sweep", _NEEDED), "sweep.parameter", "axis, e.g. market_width"),
+    "values": _Setting(_sweep_items, _on("sweep", _NEEDED), "sweep.values", "a,b,c or lo:hi,..."),
+    "reps": _Setting(_integer, _REPS, "reps", "days per batch, sweep value or candidate"),
+    "jobs": _Setting(_integer, _on("batch sweep", 1), "jobs", "worker processes"),
+    "targets": _Setting(_targets, _on("calibrate", DEFAULT_TARGETS), "targets", "targets JSON"),
+    "budget": _Setting(_integer, _on("calibrate", 200), "budget", "candidates to evaluate"),
+    "progress": _Setting(None, _on("calibrate", False), None, "log each candidate"),
+    "params": _Setting(_params, _on(f"{_SIM} calibrate", ModelParams()), "params", "", False),
+}
+
+
+def _config_value(cfg: dict, key: str):
+    """The value at dotted `key` in `cfg`; None when absent."""
+    node = cfg
+    for part in key.split("."):
+        if node is None:
+            return None
+        if not isinstance(node, dict):
+            raise ConfigError(f'config "{key.rsplit(".", 1)[0]}" must be an object')
+        node = node.get(part)
+    return node
+
+
+def _read(args, cfg: dict, name: str):
+    """Setting `name` for `args.command`: its flag, else its config key, else
+    its default."""
+    s = _SETTINGS[name]
+    raw, label = getattr(args, name, None), name
+    if raw is None and s.key is not None:
+        raw, label = _config_value(cfg, s.key), s.key
+    if raw is not None:
+        return raw if s.read is None else s.read(label, raw)
+    default = s.defaults[args.command]
+    if default is _NEEDED:
+        where = f" or a config {s.key}" if s.key else ""
+        raise ConfigError(f"{args.command} needs --{name}{where}")
+    return default
+
+
+def _build_parser() -> _Parser:
+    p = _Parser(prog="fracmarket", description=__doc__.split("\n\n")[0])
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for command, (_, about) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=about)
+        for name, s in _SETTINGS.items():
+            if s.flag and command in s.defaults:
+                default = s.defaults[command]
+                text = s.help + (
+                    " (required)" if default is _NEEDED
+                    else f" (default {default})" if type(default) in (int, str) else ""
+                )
+                switch = {"action": "store_true", "default": None} if s.read is None else {}
+                sp.add_argument(f"--{name}", help=text, **switch)
+    return p
+
+
+def _source(get):
+    """A roster from "population", else the "profile", else the packaged one."""
+    population = get("population")
+    return (get("profile") or default_profile()) if population is None else population
 
 
 def _fmt3(v) -> str:
-    if v is None:
-        return "undefined"
-    return f"{v:.3f}"
+    return "undefined" if v is None else f"{v:.3f}"
 
 
 def _print_metric_table(rows: list[tuple[str, str]]) -> None:
@@ -197,62 +258,42 @@ def _print_metric_table(rows: list[tuple[str, str]]) -> None:
         print(f"{name:<{width}}  {val}")
 
 
-def _day_record(day: DayMetrics, seed: int) -> dict:
-    rec = {name: getattr(day, name) for name in METRIC_FIELDS}
-    rec["seed"] = seed
-    return rec
-
-
-def _agg_record(agg: AggregateMetrics, seed: int, reps: int) -> dict:
-    rec = agg.to_record()
-    rec["master_seed"] = seed
-    rec["reps"] = reps
-    return rec
-
-
 def _write_record(rec: dict, path: Path, fmt: str) -> None:
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as f:
             json.dump(rec, f, indent=2)
             f.write("\n")
         return
-    import csv as _csv
-
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = _csv.writer(f)
+        w = csv.writer(f)
         w.writerow(rec.keys())
         w.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for v in rec.values()])
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    params = _build_params(cfg)
-    source = _population_source(args, cfg)
-    seed = _seed(args, cfg)
+# Each handler takes `get`, which reads a setting by name (`_read`).
+
+
+def _cmd_run(get) -> int:
+    params, source, seed = get("params"), _source(get), get("seed")
+    trace_path, out, fmt = get("trace"), get("out"), get("format")
     if isinstance(source, EndowmentProfile):
         gen_ss, day_ss = _profile_streams(seed)
         population = generate_population(source, make_rng(gen_ss))
         trace, day = run_day(population, params, day_ss)
     else:
         trace, day = run_day(source, params, seed)
-    trace_path = args.trace or cfg.get("trace")
-    if trace_path:
+    if trace_path is not None:
         export_trace(trace, trace_path)
-    _print_metric_table(
-        [(name, _fmt3(getattr(day, name))) for name in METRIC_FIELDS]
-    )
-    if args.out:
-        _write_record(_day_record(day, seed), args.out, _setting(args, cfg, "format", "csv"))
+    rec = {name: getattr(day, name) for name in METRIC_FIELDS}
+    _print_metric_table([(name, _fmt3(v)) for name, v in rec.items()])
+    if out is not None:
+        _write_record({**rec, "seed": seed}, out, fmt)
     return 0
 
 
-def _cmd_batch(args) -> int:
-    cfg = _load_config(args.config)
-    params = _build_params(cfg)
-    source = _population_source(args, cfg)
-    seed = _seed(args, cfg)
-    reps = _int_setting(args, cfg, "reps", 1000)
-    jobs = _int_setting(args, cfg, "jobs", 1)
+def _cmd_batch(get) -> int:
+    params, source, seed = get("params"), _source(get), get("seed")
+    reps, jobs, out, fmt = get("reps"), get("jobs"), get("out"), get("format")
     agg = run_batch(params, source, reps, seed, jobs=jobs)
     rows = [
         (name, _fmt3(agg.mean(name)) + " +- " + _fmt3(agg.std(name) or 0.0))
@@ -262,62 +303,17 @@ def _cmd_batch(args) -> int:
     if agg.n_undefined_ratio:
         rows.append(("n_undefined_ratio", str(agg.n_undefined_ratio)))
     _print_metric_table(rows)
-    if args.out:
-        _write_record(_agg_record(agg, seed, reps), args.out, _setting(args, cfg, "format", "csv"))
+    if out is not None:
+        _write_record({**agg.to_record(), "master_seed": seed, "reps": reps}, out, fmt)
     return 0
 
 
-def _parse_sweep_values(parameter: str, text: str) -> list:
-    """Field axes convert each item with ModelParams.coerce; composite axes
-    take floats, and ``lo:hi`` items become pairs."""
-
-    def number(item: str):
-        if parameter in ModelParams.field_names():
-            return ModelParams.coerce(parameter, item)
-        try:
-            return float(item)
-        except ValueError:
-            raise ConfigError(f"{parameter}={item!r} is not a number") from None
-
-    vals = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if ":" in item:
-            lo, hi = item.split(":", 1)
-            vals.append((number(lo), number(hi)))
-        else:
-            vals.append(number(item))
-    if not vals:
-        raise ConfigError(f"no sweep values in {text!r}")
-    return vals
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    params = _build_params(cfg)
-    source = _population_source(args, cfg)
-    seed = _seed(args, cfg)
-    reps = _int_setting(args, cfg, "reps", 1000)
-    jobs = _int_setting(args, cfg, "jobs", 1)
-    sweep_cfg = cfg.get("sweep", {})
-    parameter = args.param or sweep_cfg.get("parameter")
-    if not parameter:
-        raise ConfigError("sweep needs --param or a config sweep.parameter")
-    if args.values:
-        values = _parse_sweep_values(parameter, args.values)
-    elif "values" in sweep_cfg:
-        values = [tuple(v) if isinstance(v, list) else v for v in sweep_cfg["values"]]
-    else:
-        raise ConfigError("sweep needs --values or a config sweep.values list")
-    spec = SweepSpec(
-        parameter=parameter,
-        values=tuple(values),
-        reps=reps,
-        master_seed=seed,
-        base_params=params,
-    )
+def _cmd_sweep(get) -> int:
+    params, source, seed = get("params"), _source(get), get("seed")
+    reps, jobs, out, fmt = get("reps"), get("jobs"), get("out"), get("format")
+    parameter = get("param")
+    values = _sweep_values(parameter, get("values"))
+    spec = SweepSpec(parameter, values, reps=reps, master_seed=seed, base_params=params)
     results = run_sweep(spec, source, jobs=jobs)
     print(f"sweep {parameter} ({reps} reps per value)")
     for value, agg in results:
@@ -326,91 +322,77 @@ def _cmd_sweep(args) -> int:
             f"  {value}: liquidity_ratio {lr}, n_offers {_fmt3(agg.mean('n_offers'))}, "
             f"n_trades {_fmt3(agg.mean('n_trades'))}"
         )
-    if args.out:
-        fmt = _setting(args, cfg, "format", "csv")
+    if out is not None:
         if fmt == "json":
-            write_sweep_json(spec, results, args.out)
+            write_sweep_json(spec, results, out)
         else:
-            write_sweep_csv(results, args.out)
+            write_sweep_csv(results, out)
     return 0
 
 
-def _cmd_gen_endowments(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _seed(args, cfg)
-    profile = _profile(args, cfg)
+def _cmd_gen_endowments(get) -> int:
+    seed, profile, out = get("seed"), get("profile") or default_profile(), get("out")
     population = generate_population(profile, make_rng(seed))
-    save_population(population, args.out)
+    save_population(population, out)
     total_shares = sum(a.shares for a in population)
     total_cash = float(sum(a.cash for a in population))
-    print(f"wrote {len(population)} agents to {args.out}")
+    print(f"wrote {len(population)} agents to {out}")
     print(f"total shares {total_shares}, total cash {total_cash:.2f}")
     return 0
 
 
-def _cmd_calibrate(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _seed(args, cfg)
-    budget = _int_setting(args, cfg, "budget", 200)
-    reps = _int_setting(args, cfg, "reps", 200)
-    targets_path = args.targets or cfg.get("targets")
-    if targets_path is None:
-        targets = DEFAULT_TARGETS
-    else:
-        doc = _load_config(targets_path, "targets")
-        try:
-            targets = CalibrationTargets(**{k: float(doc[k]) for k in CalibrationTargets.FIELDS})
-        except KeyError as e:
-            raise ConfigError(f"targets file lacks {e.args[0]!r}") from None
-        except (TypeError, ValueError):
-            raise ConfigError(f"targets file {targets_path}: targets must be numbers") from None
+def _cmd_calibrate(get) -> int:
+    params, seed, budget, reps = get("params"), get("seed"), get("budget"), get("reps")
+    targets, out = get("targets"), get("out")
 
     progress = None
-    if args.progress:
+    if get("progress"):
         def progress(idx, obj, best):  # noqa: E306
             print(f"candidate {idx}: objective {obj:.5f} (best {best:.5f})", flush=True)
 
     profile, objective = calibrate_profile(
-        targets, budget, seed, reps=reps, progress=progress
+        targets, budget, seed, params=params, reps=reps, progress=progress
     )
     save_profile(
         profile,
-        args.out,
+        out,
         metadata={
             "seed": seed,
             "budget": budget,
             "reps": reps,
+            "params": asdict(params),
             "objective": objective,
             "targets": asdict(targets),
         },
     )
-    print(f"best objective {objective:.5f}, profile written to {args.out}")
+    print(f"best objective {objective:.5f}, profile written to {out}")
     return 0
 
 
+# subcommand: (handler, --help line)
 _COMMANDS = {
-    "run": _cmd_run,
-    "batch": _cmd_batch,
-    "sweep": _cmd_sweep,
-    "gen-endowments": _cmd_gen_endowments,
-    "calibrate": _cmd_calibrate,
+    "run": (_cmd_run, "simulate one trading day"),
+    "batch": (_cmd_batch, "aggregate many independent days"),
+    "sweep": (_cmd_sweep, "batch per value of one parameter"),
+    "gen-endowments": (_cmd_gen_endowments, "draw a population into a CSV"),
+    "calibrate": (_cmd_calibrate, "search an endowment profile"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _load_config(_read(args, {}, "config"))
+        return _COMMANDS[args.command][0](partial(_read, args, cfg))
     except (ConfigError, EndowmentError) as e:
-        print(f"fracmarket: configuration error: {e}", file=sys.stderr)
-        return 1
+        code, kind, error = 1, "configuration error", e
     except MarketError as e:
-        print(f"fracmarket: error: {e}", file=sys.stderr)
-        return 2
+        code, kind, error = 2, "error", e
     except OSError as e:
-        print(f"fracmarket: i/o error: {e}", file=sys.stderr)
-        return 2
+        code, kind, error = 2, "i/o error", e
+    # one line, even when a message quotes a key or path with a line break
+    print(f"fracmarket: {kind}: {' '.join(str(error).splitlines())}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

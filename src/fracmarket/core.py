@@ -462,6 +462,9 @@ def as_number(name: str, value, kind: type = float) -> float | int:
     Anything else, a bool included, raises ConfigError naming `name` and
     the value. Ranges are left to the caller.
     """
+    if kind is int and isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            return int(value)  # exact where float() would round, as for a seed of 2**60
     x = None
     if isinstance(value, (str, numbers.Real)) and not isinstance(value, bool):
         with contextlib.suppress(ValueError, OverflowError):

@@ -174,7 +174,8 @@ def run_batch(
     if jobs < 1:
         raise ConfigError(f"jobs={jobs} must be at least 1")
     resolved = _resolve_source(source)
-    if jobs == 1 or reps == 1:
+    jobs = min(jobs, reps)  # a worker beyond one per day would sit idle
+    if jobs == 1:
         days = [
             _one_experiment(resolved, params, master_seed, axis_index, r)
             for r in range(reps)

@@ -1,13 +1,20 @@
 """Command line behavior: determinism, file outputs, config layering, errors."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_population
 
@@ -19,8 +26,9 @@ from fracmarket import (
     load_population,
     save_population,
     simulate_profile_day,
+    sweep_axes,
 )
-from fracmarket.cli import _build_params, main
+from fracmarket.cli import _SETTINGS, _params, main
 
 
 @pytest.fixture()
@@ -224,6 +232,22 @@ def test_calibrate_writes_profile_with_metadata(capsys, tmp_path):
     assert meta["targets"]["n_offers"] == 60
 
 
+def test_calibrate_reads_config_params(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"ps_offer_prob": 0.9, "pb_trade_prob": 0.9}}))
+    metas = []
+    for extra in ((), ("--config", str(cfg))):
+        out_path = tmp_path / f"prof{len(metas)}.json"
+        code, _, err = run_cli(capsys, "calibrate", "--budget", "1", "--reps", "2",
+                               "--out", str(out_path), *extra)
+        assert code == 0, err
+        metas.append(json.loads(out_path.read_text())["calibration"])
+    plain, boosted = metas
+    assert plain["params"] == asdict(ModelParams())
+    assert boosted["params"] == asdict(ModelParams(ps_offer_prob=0.9, pb_trade_prob=0.9))
+    assert boosted["objective"] != plain["objective"]
+
+
 def test_calibrate_missing_targets_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "calibrate", "--budget", "1", "--reps", "1",
@@ -285,6 +309,18 @@ SWEEP = "sweep --reps 2 --population {pop} --param"
         ("gen-endowments --config {cfg} --out {tmp}/pop.csv",
          {"profile": {**default_profile().to_json_dict(),
                       "cash_dist_pb": {"family": "constant", "value": "abc"}}}, 1),
+        ("sweep --reps 2 --population {pop} --config {cfg}", {"sweep": 5}, 1),
+        ("sweep --reps 2 --population {pop} --config {cfg}",
+         {"sweep": {"parameter": "pb_trade_prob", "values": 5}}, 1),
+        ("run --config {cfg}", {"population": 5}, 1),
+        ("run --population {pop} --config {cfg} --out {tmp}/day.out", {"format": "xml"}, 1),
+        ("calibrate --budget 1 --reps 1 --targets {cfg} --out {tmp}/p.json",
+         {"liquidity_ratio": True, "n_offers": 60, "n_trades": 100,
+          "offered_shares": 4000, "traded_shares": 500}, 1),
+        # a bad trace setting once opened file descriptor 1 and closed it;
+        # a command starting with "fracmarket" runs in a child interpreter
+        ("fracmarket run --population {pop} --config {cfg}", {"trace": 1}, 1),
+        ("fracmarket run --population {pop} --config {cfg}", {"trace": True}, 1),
     ],
 )
 def test_bad_input_exits_1_with_one_line(
@@ -293,7 +329,14 @@ def test_bad_input_exits_1_with_one_line(
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     argv = command.format(cfg=cfg, tmp=tmp_path, pop=roster_csv).split()
-    code, out, err = run_cli(capsys, *argv)
+    if argv[0] == "fracmarket":
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracmarket.cli", *argv[1:]],
+            capture_output=True, text=True, env=child_env(), cwd=tmp_path,
+        )
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        code, out, err = run_cli(capsys, *argv)
     assert code == want_code, err
     if want_code == 0:
         assert "True: liquidity_ratio" in out
@@ -304,8 +347,8 @@ def test_bad_input_exits_1_with_one_line(
 
 
 def test_config_flag_words_parse():
-    assert _build_params({"params": {"debit_exit_fee": "false"}}).debit_exit_fee is False
-    assert _build_params({"params": {"debit_exit_fee": "true"}}).debit_exit_fee is True
+    assert _params("params", {"debit_exit_fee": "false"}).debit_exit_fee is False
+    assert _params("params", {"debit_exit_fee": "true"}).debit_exit_fee is True
 
 
 def test_bad_flag_exits_1(capsys):
@@ -395,3 +438,119 @@ def test_importing_the_package_leaves_the_cli_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_readme_table_lists_every_config_key():
+    # rows of the README's settings table: | `key` | takes | read by | flag |
+    rows = {}
+    for line in (REPO_ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 4:
+            rows[cells[0].strip("`")] = (set(cells[2].split(", ")), cells[3])
+    assert rows == {
+        s.key: (set(s.defaults), f"`--{name}`" if s.flag else "none")
+        for name, s in _SETTINGS.items()
+        if s.key is not None
+    }
+
+
+# --- fuzz -------------------------------------------------------------------
+
+# Config objects over the CLI's keys. Numbers stay within +-100, lists within
+# 3 items and inline profiles' counts within 100, so no example asks for a
+# long day, a big population or many processes.
+NUMBERS = st.integers(-100, 100) | st.floats(-100, 100, allow_nan=False)
+UNIT = st.floats(0, 1)  # in range for every probability and ratio field
+SCALARS = st.none() | st.booleans() | NUMBERS | st.text(max_size=6) | NUMBERS.map(str)
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+PARAMS = st.dictionaries(
+    st.sampled_from(ModelParams.field_names()), UNIT | SCALARS, max_size=3
+) | JSON
+SMALL_PROFILE = {**default_profile().to_json_dict(), "n_pb": 30, "n_ps": 15, "n_bs": 10}
+PROFILE_FIELDS = sorted(SMALL_PROFILE)
+DIST = st.fixed_dictionaries(
+    {"family": st.sampled_from(
+        ["constant", "uniform-integer", "lognormal-rounded", "pareto-rounded"]) | JSON},
+    optional={k: NUMBERS | SCALARS for k in ("value", "lo", "hi", "mu", "sigma", "shape", "scale")},
+)
+INLINE_PROFILE = st.dictionaries(
+    st.sampled_from(PROFILE_FIELDS), st.integers(0, 100) | NUMBERS | DIST | JSON, max_size=3
+).map(lambda changes: {**SMALL_PROFILE, **changes})
+SWEEP_VALUE = (
+    UNIT | UNIT.map(str) | st.lists(st.floats(0.5, 1.5), min_size=2, max_size=2) | SCALARS | JSON
+)
+AXIS = st.sampled_from(sweep_axes())
+SWEEP = st.fixed_dictionaries(
+    {"parameter": AXIS, "values": st.lists(SWEEP_VALUE, min_size=1, max_size=3)}
+) | st.fixed_dictionaries(
+    {},
+    optional={
+        "parameter": AXIS | JSON,
+        "values": st.lists(SWEEP_VALUE, max_size=3)
+        | st.lists(NUMBERS.map(str), min_size=1, max_size=3).map(",".join) | JSON,
+    },
+) | JSON
+
+
+def fuzz_config(files: dict) -> st.SearchStrategy:
+    """Config objects whose path keys may name the files in `files`."""
+    path = st.sampled_from(sorted(files.values())) | JSON
+    return st.fixed_dictionaries(
+        {"sweep": SWEEP},  # always there, so that some sweeps can run
+        optional={
+            "seed": st.integers(-3, 100) | SCALARS,
+            "reps": NUMBERS | SCALARS,
+            "jobs": NUMBERS | SCALARS,
+            "budget": NUMBERS | SCALARS,
+            "format": st.sampled_from(["csv", "json", "xml"]) | JSON,
+            "params": PARAMS,
+            "population": path,
+            "profile": INLINE_PROFILE | path,
+            "trace": path,
+            "targets": path,
+        },
+    )
+
+
+# every subcommand runs at most two days per value and one candidate
+PINNED = {
+    "run": ["--trace", "{tmp}/fills.ndjson"],
+    "batch": ["--reps", "2", "--jobs", "1"],
+    "sweep": ["--reps", "2", "--jobs", "1"],
+    "gen-endowments": [],
+    "calibrate": ["--reps", "2", "--budget", "1"],
+}
+FILE_NAMES = {"roster": "pop.csv", "profile": "prof.json", "targets": "targets.json"}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_config_exits_cleanly(command, data):
+    # files are made here, not by fixtures, since hypothesis runs the body
+    # once per example
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {k: str(Path(tmp) / name) for k, name in FILE_NAMES.items()}
+        save_population(make_population(20, 10, 6), files["roster"])
+        Path(files["profile"]).write_text(json.dumps(SMALL_PROFILE))
+        Path(files["targets"]).write_text(json.dumps(
+            {"liquidity_ratio": 0.1, "n_offers": 60, "n_trades": 100,
+             "offered_shares": 4000, "traded_shares": 500}))
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(data.draw(fuzz_config(files), label="config")))
+        argv = [command, "--config", str(cfg), "--out", f"{tmp}/out"]
+        argv += [a.format(tmp=tmp) for a in PINNED[command]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+    assert not caught, [str(w.message) for w in caught]

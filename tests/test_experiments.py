@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from fracmarket import (
     write_sweep_csv,
     write_sweep_json,
 )
+from fracmarket import experiments
 from fracmarket.metrics import aggregate
 
 
@@ -114,6 +116,34 @@ def test_parallel_batch_matches_serial():
     serial = run_batch(params, profile, 8, 3, jobs=1)
     parallel = run_batch(params, profile, 8, 3, jobs=2)
     assert serial == parallel
+
+
+def test_pool_has_at_most_one_worker_per_day(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        # stands in for multiprocessing.Pool: records the size asked for and
+        # runs the days in this process, so no worker starts
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize=1):
+            return map(func, iterable)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(experiments, "_WORKER_CTX", {})
+    profile, params = tiny_profile(), make_params()
+    assert run_batch(params, profile, 2, 3, jobs=64) == run_batch(params, profile, 2, 3)
+    run_batch(params, profile, 1, 3, jobs=64)
+    run_batch(params, profile, 40, 3, jobs=2)
+    assert sizes == [2, 2]
 
 
 def test_roster_source_not_mutated():
