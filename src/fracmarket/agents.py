@@ -15,7 +15,9 @@ draws of a day never depend on the book or on balances:
 * buyer-seller buy rule: with `m` candidates and a search length `k < m`,
   step `j` of a partial Fisher-Yates shuffle swaps candidate positions `j`
   and `j + int(u[j] * (m - j))`, for `j < k`; with `m <= k` every
-  candidate is inspected and the row is not read.
+  candidate is inspected and the row is not read. The shuffle keeps only
+  the positions it has moved, in a dict, so a search costs O(k) however
+  deep the book: the same swaps and sample as shuffling `range(m)`.
 
 A uniform `u` is at most `1 - 2**-53`, so `int(u * n) < n` for every
 `n < 2**53`: `u * n` falls short of `n` by `n * 2**-53`, which is exactly
@@ -42,11 +44,12 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import AgentState, ContractViolation, ModelParams, Offer, OfferBook
+from .core import _ENTRY, AgentState, ContractViolation, ModelParams, Offer, OfferBook
 
 __all__ = [
     "TradeFill",
@@ -212,18 +215,25 @@ def bs_buy_decide(
     (earliest entry on a price tie), spending up to bs_purchase_ratio of its
     cash as in pb_decide. Bargain hunting: there is no acceptance lottery.
     """
-    candidates = book.below(params.p_ref, without=agent.id)
-    if not candidates:
+    # the book's index, read in place: candidate p is below[p + (p >= cut)],
+    # stepping over the agent's own offer if it sits at position `cut`
+    below = book.below(params.p_ref)
+    own, cut = book.find(agent.id), len(below)
+    if own is not None and own.price < params.p_ref:
+        cut = bisect_left(below, own.entry_order, key=_ENTRY)
+    k, m = params.bs_search_len, len(below) - (cut < len(below))
+    if m == 0:
         return None
-    k, m = params.bs_search_len, len(candidates)
+    picks = range(m)
     if k < m:
         # partial Fisher-Yates over the candidate positions
-        pos = list(range(m))
+        moved: dict[int, int] = {}
+        picks = []
         for j in range(k):
             r = j + int(u[j] * (m - j))
-            pos[j], pos[r] = pos[r], pos[j]
-        candidates = [candidates[i] for i in pos[:k]]
-    best = min(candidates, key=_PRICE_ENTRY)
+            picks.append(moved.get(r, r))
+            moved[r] = moved.get(j, j)
+    best = min((below[p + (p >= cut)] for p in picks), key=_PRICE_ENTRY)
     return _budget_fill(agent, best, params.bs_purchase_ratio)
 
 

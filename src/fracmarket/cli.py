@@ -78,7 +78,9 @@ def _text(name: str, raw) -> str:
 
 
 def _path(name: str, raw) -> Path:
-    return Path(_text(name, raw))
+    if "\0" in _text(name, raw):
+        raise ConfigError(f"{name}={raw!r} is not a valid path")  # open() would raise ValueError
+    return Path(raw)
 
 
 def _integer(name: str, raw) -> int:
@@ -189,7 +191,7 @@ _SETTINGS = {
     "param": _Setting(_text, _on("sweep", _NEEDED), "sweep.parameter", "axis, e.g. market_width"),
     "values": _Setting(_sweep_items, _on("sweep", _NEEDED), "sweep.values", "a,b,c or lo:hi,..."),
     "reps": _Setting(_integer, _REPS, "reps", "days per batch, sweep value or candidate"),
-    "jobs": _Setting(_integer, _on("batch sweep", 1), "jobs", "worker processes"),
+    "jobs": _Setting(_integer, _on("batch sweep calibrate", 1), "jobs", "worker processes"),
     "targets": _Setting(_targets, _on("calibrate", DEFAULT_TARGETS), "targets", "targets JSON"),
     "budget": _Setting(_integer, _on("calibrate", 200), "budget", "candidates to evaluate"),
     "progress": _Setting(None, _on("calibrate", False), None, "log each candidate"),
@@ -343,7 +345,7 @@ def _cmd_gen_endowments(get) -> int:
 
 def _cmd_calibrate(get) -> int:
     params, seed, budget, reps = get("params"), get("seed"), get("budget"), get("reps")
-    targets, out = get("targets"), get("out")
+    targets, out, jobs = get("targets"), get("out"), get("jobs")
 
     progress = None
     if get("progress"):
@@ -351,7 +353,7 @@ def _cmd_calibrate(get) -> int:
             print(f"candidate {idx}: objective {obj:.5f} (best {best:.5f})", flush=True)
 
     profile, objective = calibrate_profile(
-        targets, budget, seed, params=params, reps=reps, progress=progress
+        targets, budget, seed, params=params, reps=reps, progress=progress, jobs=jobs
     )
     save_profile(
         profile,

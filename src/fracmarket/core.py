@@ -238,22 +238,17 @@ class OfferBook:
     def find(self, seller: AgentId) -> Offer | None:
         return self._by_seller.get(seller)
 
-    def below(self, p_ref: float, without: AgentId | None = None) -> list[Offer]:
-        """The live offers priced strictly below `p_ref`, in entry order,
-        leaving out the offer of seller `without` if it is one of them.
+    def below(self, p_ref: float) -> list[Offer]:
+        """The live offers priced strictly below `p_ref`, in entry order.
 
-        Without a cut the list is the book's own index, kept current as
-        offers enter and are used up; callers must not modify it. Asking
-        for another reference price rebuilds it.
+        The list is the book's own index, kept current as offers enter and
+        are used up; callers must not modify it. Asking for another
+        reference price rebuilds it.
         """
         if p_ref != self._below_ref:
             self._below = [o for o in self.offers if o.price < p_ref]
             self._below_ref = p_ref
-        own = self._by_seller.get(without)
-        if own is None or not own.price < p_ref:
-            return self._below
-        pos = bisect_left(self._below, own.entry_order, key=_ENTRY)
-        return self._below[:pos] + self._below[pos + 1 :]
+        return self._below
 
     def apply_fill(self, seller: AgentId, units: int) -> Offer:
         """Consume `units` shares from the live offer of `seller`.

@@ -35,23 +35,24 @@ on the book or on balances, and drawing them all first takes the same
 values in the same order as drawing each visit when it runs. The rules are
 called for active agents only: activation is decided here and nowhere else.
 
-Inert pure buyers: once pre-trading has filled the book, the trading
-rounds call no rule for a pure buyer whose budget fails the float gate of
-`agents._budget_fill` against the cheapest offer in the book, at price
-`p_min`, that is `pb_purchase_ratio * float(cash) < p_min * (1 - 1e-9) -
-1e-300` (cash beyond float range never fails it), nor for any pure buyer
-when the book is empty. The skip is exact. Within a day a pure buyer's
-cash never rises, since it never sells, and the cheapest live price never
-falls, since offers enter only in pre-trading; float rounding is
-monotone, so the gate rejects an inert buyer at every offer it could pick
-in any round, where `pb_decide` would return None and change nothing. Its
-row is on the tape already, so skipping the call changes no draw.
+Inert buyers: once pre-trading has filled the book, the trading rounds
+call a buyer's rule only while its budget passes `agents._budget_fill`'s
+float gate at its kind's bound, `ratio * float(cash) >= bound * (1 -
+1e-9) - 1e-300`, which cash beyond float range passes unless the ratio is
+0. A pure buyer's bound is the cheapest offer; a buyer-seller's, the cheapest
+priced strictly below `p_ref`, its own included. With no such offer the
+kind is never called. The skip is exact: offers enter only in
+pre-trading, so no offer a buyer could pick is ever below its bound, and
+its cash rises only when it sells, after which the engine checks its gate
+again. Float rounding is monotone, so until then the gate rejects it at
+every offer, where its rule would return None and change nothing; its row
+is on the tape already, so skipping the call changes no draw.
 
-The engine reads a population only as every agent's kind, every pure
-buyer's cash (for the skip) and `population[i]` for the agents that act.
+The engine reads a population only as every agent's kind, every buyer's
+cash (for the skip) and `population[i]` for the agents that act.
 A `core.LazyPopulation` answers the first two from its columns, so a
 generated day builds an `AgentState` only for the sellers active in
-pre-trading and the buyers active in trading that are not inert.
+pre-trading and the buyers active in trading while not inert.
 """
 
 from __future__ import annotations
@@ -190,23 +191,24 @@ def _draw_visit(ids: np.ndarray, probs: np.ndarray, width: int, rng: Rng) -> Vis
     return Visit(active, rng.random((len(active), width)))
 
 
-def _inert_pure_buyers(
-    population: Sequence[AgentState], kinds: np.ndarray, book: OfferBook, params: ModelParams
-) -> np.ndarray:
-    """Mask of the pure buyers that can never fill against `book`; see the
-    module docstring."""
-    pure = kinds == _PB
-    if not book:
-        return pure
-    # _budget_fill's float gate, at the cheapest price the day will offer
-    gate = min(o.price for o in book.offers) * _GATE - _UNDERFLOW
+def _gate(offers: Sequence[Offer]) -> float:
+    """`agents._budget_fill`'s float gate at the cheapest of `offers`; NaN,
+    which no budget passes, when there are none."""
+    return min(o.price for o in offers) * _GATE - _UNDERFLOW if offers else math.nan
+
+
+def _live_buyers(
+    population: Sequence[AgentState], kinds: np.ndarray, gates: tuple, params: ModelParams
+) -> list[bool]:
+    """Per agent, whether its budget passes its kind's gate in `gates` (pure
+    buyers', buyer-sellers'); only buyers' entries are read."""
     if isinstance(population, LazyPopulation):
         cash = population.cash
     else:
-        cash = np.array(
-            [_float_cash(a.cash) if p else 0.0 for a, p in zip(population, pure.tolist())]
-        )
-    return pure & (params.pb_purchase_ratio * cash < gate)
+        cash = np.array([_float_cash(a.cash) for a in population])
+    pure = kinds == _PB
+    ratio = np.where(pure, params.pb_purchase_ratio, params.bs_purchase_ratio)
+    return (ratio * cash >= np.where(pure, *gates)).tolist()
 
 
 def _float_cash(cash: Fraction) -> float:
@@ -251,7 +253,7 @@ def run_trading(
     in place on `population` and `book`. Returns the day's trace.
 
     `draws` is the day's tape, or a generator to draw the rounds from.
-    Inert pure buyers are skipped (see the module docstring).
+    Inert buyers are skipped (see the module docstring).
     """
     if isinstance(draws, DayTape):
         kinds, rounds = draws.kinds, draws.rounds
@@ -259,11 +261,13 @@ def run_trading(
         kinds = _kind_column(population)
         rounds = _draw_rounds(kinds, params, draws)
     offers_entered = [o.copy() for o in book.offers]
-    live = ~_inert_pure_buyers(population, kinds, book, params)
+    gates = _gate(book.offers), _gate(book.below(params.p_ref))
+    live = _live_buyers(population, kinds, gates, params)
     fills: list[FillEvent] = []
     for it, visit in enumerate(rounds, start=1):
-        keep = live[visit.ids]
-        for i, u in zip(visit.ids[keep].tolist(), visit.rows[keep].tolist()):
+        for i, u in zip(visit.ids.tolist(), visit.rows.tolist()):
+            if not live[i]:
+                continue
             agent = population[i]
             if agent.kind is AgentKind.PURE_BUYER:
                 fill = pb_decide(agent, book, params, u)
@@ -271,8 +275,12 @@ def run_trading(
                 fill = bs_buy_decide(agent, book, params, u)
             if fill is None:
                 continue
-            settle_fill(fill, agent, population[fill.seller], book, params)
+            seller = population[fill.seller]
+            settle_fill(fill, agent, seller, book, params)
             fills.append(FillEvent(it, fill))
+            if not live[seller.id] and seller.kind is AgentKind.BUYER_SELLER:
+                # the sale raised its cash: check its gate again
+                live[seller.id] = params.bs_purchase_ratio * _float_cash(seller.cash) >= gates[1]
     return DayTrace(offers_entered, fills)
 
 

@@ -252,8 +252,9 @@ class CalibrationTargets:
     def validate(self) -> None:
         for name in self.FIELDS:
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v)):
-                raise ConfigError(f"target {name}={v!r} must be positive and finite")
+            x = as_number(f"target {name}", v)
+            if isinstance(v, str) or not (x > 0 and math.isfinite(x)):
+                raise ConfigError(f"target {name}={v!r} must be a positive finite number")
 
 
 # reproduction targets for the default market configuration
@@ -348,6 +349,7 @@ def evaluate_profile(
     reps: int,
     seed: int,
     weights: dict[str, float] | None = None,
+    jobs: int = 1,
 ) -> tuple[float, dict[str, float]]:
     """Mean day metrics of `profile` over a `reps`-day batch at axis
     position 2, and their weighted squared relative error against `targets`.
@@ -356,10 +358,12 @@ def evaluate_profile(
     evaluated under the same seed share their randomness and compare with
     less noise. `weights` maps metric names in `CalibrationTargets.FIELDS`
     to non-negative finite weights (1.0 for a name left out); any other
-    key or weight is a ConfigError. Returns (objective, mean metrics dict).
+    key or weight is a ConfigError. The batch runs on `jobs` worker
+    processes, which does not change the result. Returns (objective, mean
+    metrics dict).
     """
     w = _check_weights(weights)
-    agg = run_batch(params, profile, reps, seed, axis_index=2)
+    agg = run_batch(params, profile, reps, seed, jobs=jobs, axis_index=2)
     sim = {name: agg.mean(name) for name in CalibrationTargets.FIELDS}
     if sim["liquidity_ratio"] is None:
         return math.inf, {k: (v if v is not None else math.nan) for k, v in sim.items()}
@@ -381,6 +385,7 @@ def calibrate_profile(
     initial: Sequence[EndowmentProfile] = (),
     weights: dict[str, float] | None = None,
     progress: Callable[[int, float, float], None] | None = None,
+    jobs: int = 1,
 ) -> tuple[EndowmentProfile, float]:
     """Random-search calibration of an endowment profile.
 
@@ -389,7 +394,8 @@ def calibrate_profile(
     simulated days with common random numbers, and returns the best profile
     with its achieved objective. Deterministic in (seed, budget, reps); ties
     keep the earliest candidate. `progress`, if given, is called after each
-    candidate with (index, objective, best_so_far).
+    candidate with (index, objective, best_so_far). Each candidate's batch
+    runs on `jobs` worker processes, which does not change the result.
     """
     targets.validate()
     if search_budget < 1:
@@ -406,7 +412,7 @@ def calibrate_profile(
     best_obj = math.inf
     for idx in range(search_budget):
         candidate = initial[idx] if idx < len(initial) else _sample_candidate(boxes, cand_rng)
-        obj, _ = evaluate_profile(candidate, targets, params, reps, seed, weights)
+        obj, _ = evaluate_profile(candidate, targets, params, reps, seed, weights, jobs)
         if obj < best_obj:
             best, best_obj = candidate, obj
         if progress is not None:

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracmarket import (
@@ -412,6 +412,65 @@ def test_bs_sample_is_uniform_without_replacement():
     for i in range(m):
         p = math.comb(m - 1 - i, k - 1) / math.comb(m, k)
         assert abs(counts[i] - n * p) <= 4 * math.sqrt(n * p * (1 - p)) + 1
+
+
+def _shuffled_pick(agent, book, params, u):
+    # the search as first written: copy the candidates, shuffle a full list
+    # of their positions, then take the cheapest of the first k
+    candidates = [o for o in book.offers if o.price < params.p_ref and o.seller != agent.id]
+    if not candidates:
+        return None
+    k, m = params.bs_search_len, len(candidates)
+    if k < m:
+        pos = list(range(m))
+        for j in range(k):
+            r = j + int(u[j] * (m - j))
+            pos[j], pos[r] = pos[r], pos[j]
+        candidates = [candidates[i] for i in pos[:k]]
+    return min(candidates, key=lambda o: (o.price, o.entry_order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    offers=st.lists(
+        st.tuples(
+            st.sampled_from([40.0, 49.999, 50.0]) | st.floats(30.0, 60.0), st.integers(1, 3)
+        ),
+        max_size=40,
+    ),
+    used_up=st.lists(st.integers(0, 39), max_size=10),
+    agent_id=st.integers(0, 41),
+    k=st.integers(1, 12),
+    seed=st.integers(0, 2**32),
+    head=st.lists(st.sampled_from([0.0, U_MAX]) | st.floats(0.0, U_MAX), max_size=12),
+)
+# step 0 swaps positions 0 and 1, steps 1 and 2 both reach position 4: the
+# second must find there what step 1 put there, the 0 that step 0 moved
+@example(
+    offers=[(40.0 + s, 3) for s in range(5)], used_up=[], agent_id=41, k=3, seed=0,
+    head=[0.3, U_MAX, U_MAX],
+)
+def test_bs_sparse_search_picks_what_a_full_shuffle_picks(offers, used_up, agent_id, k, seed, head):
+    # seller s posts offers[s]; some offers are used up after the index is
+    # built, and the agent may or may not have an offer of its own in it.
+    # The row is uniform, its first entries replaced by `head`
+    u = make_rng(seed).random(12).tolist()
+    u[: len(head)] = head
+    book = OfferBook()
+    for s, (price, qty) in enumerate(offers):
+        book.insert(make_offer(price=price, quantity=qty, seller=s))
+    book.below(50.0)
+    for s in used_up:
+        if book.find(s) is not None:
+            book.apply_fill(s, book.find(s).quantity)
+    agent = make_agent(id=agent_id, kind=BS, cash=10**6)
+    params = make_params(bs_trade_prob=1.0, bs_search_len=k)
+    want = _shuffled_pick(agent, book, params, u)
+    fill = bs_buy_decide(agent, book, params, u)
+    if want is None:
+        assert fill is None
+    else:
+        assert (fill.seller, fill.price) == (want.seller, want.price)
 
 
 def test_bs_budget_uses_bs_ratio():

@@ -248,6 +248,17 @@ def test_calibrate_reads_config_params(capsys, tmp_path):
     assert boosted["objective"] != plain["objective"]
 
 
+def test_calibrate_jobs_leave_the_profile_unchanged(capsys, tmp_path):
+    profiles = []
+    for jobs in ("1", "2"):
+        out_path = tmp_path / f"prof{jobs}.json"
+        code, _, err = run_cli(capsys, "calibrate", "--budget", "1", "--reps", "2",
+                               "--jobs", jobs, "--out", str(out_path))
+        assert code == 0, err
+        profiles.append(out_path.read_text())
+    assert profiles[0] == profiles[1]
+
+
 def test_calibrate_missing_targets_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "calibrate", "--budget", "1", "--reps", "1",
@@ -303,6 +314,7 @@ SWEEP = "sweep --reps 2 --population {pop} --param"
         ("batch --population {pop} --config {cfg}", {"reps": 2.5}, 1),
         ("batch --population {pop} --reps 2 --config {cfg}", {"jobs": "two"}, 1),
         ("calibrate --reps 1 --config {cfg} --out {tmp}/p.json", {"budget": 1.5}, 1),
+        ("calibrate --budget 1 --reps 1 --config {cfg} --out {tmp}/p.json", {"jobs": 0}, 1),
         ("run --seed -1", None, 1),
         ("gen-endowments --config {cfg} --out {tmp}/pop.csv",
          {"profile": {**default_profile().to_json_dict(), "n_pb": "x"}}, 1),
@@ -313,6 +325,7 @@ SWEEP = "sweep --reps 2 --population {pop} --param"
         ("sweep --reps 2 --population {pop} --config {cfg}",
          {"sweep": {"parameter": "pb_trade_prob", "values": 5}}, 1),
         ("run --config {cfg}", {"population": 5}, 1),
+        ("sweep --config {cfg}", {"population": "\0"}, 1),
         ("run --population {pop} --config {cfg} --out {tmp}/day.out", {"format": "xml"}, 1),
         ("calibrate --budget 1 --reps 1 --targets {cfg} --out {tmp}/p.json",
          {"liquidity_ratio": True, "n_offers": 60, "n_trades": 100,
@@ -523,7 +536,7 @@ PINNED = {
     "batch": ["--reps", "2", "--jobs", "1"],
     "sweep": ["--reps", "2", "--jobs", "1"],
     "gen-endowments": [],
-    "calibrate": ["--reps", "2", "--budget", "1"],
+    "calibrate": ["--reps", "2", "--budget", "1", "--jobs", "1"],
 }
 FILE_NAMES = {"roster": "pop.csv", "profile": "prof.json", "targets": "targets.json"}
 

@@ -235,24 +235,34 @@ def test_profile_day_equals_a_built_population_day(profile, params, seed):
 
 def test_profile_day_builds_only_the_agents_that_act():
     # the sellers active in pre-trading and the buyers active in trading
-    # that can afford the cheapest offer; a few hundred of 1365
+    # whose budget passes the gate at the cheapest offer they could be
+    # shown (for a buyer-seller, the cheapest below p_ref); a few hundred
+    # of 1365. A buyer-seller called again after a sale posted an offer, so
+    # it was built in pre-trading
     profile, params = default_profile(), ModelParams.baseline()
     gen_ss, day_ss = np.random.SeedSequence(8).spawn(2)
     lazy = _draw_columns(profile, make_rng(gen_ss))
     full = generate_population(profile, make_rng(gen_ss))
     tape = draw_day(lazy, params, make_rng(day_ss))
     book = run_pretrading(full, params, tape)
-    gate = min(o.price for o in book.offers) * (1.0 - 1e-9) - 1e-300
+
+    def gate(prices):
+        return min(prices) * (1.0 - 1e-9) - 1e-300
+
+    bounds = {
+        PB: (params.pb_purchase_ratio, gate(o.price for o in book.offers)),
+        BS: (params.bs_purchase_ratio, gate(o.price for o in book.offers if o.price < params.p_ref)),
+    }
     acting = set(tape.pretrading.ids.tolist()) | {
         i
         for v in tape.rounds
         for i in v.ids.tolist()
-        if not (full[i].kind is PB and params.pb_purchase_ratio * float(full[i].cash) < gate)
+        if bounds[full[i].kind][0] * float(full[i].cash) >= bounds[full[i].kind][1]
     }
     run_day(lazy, params, day_ss)
     built = {i for i, a in enumerate(lazy._agents) if a is not None}
     assert built == acting
-    assert len(built) < len(lazy) / 3
+    assert len(built) < len(lazy) / 4
 
 
 def test_a_profile_draw_beyond_float_range_is_an_endowment_error():
@@ -496,6 +506,22 @@ def test_calibration_digest_is_pinned():
     best, objective = calibrate_profile(DEFAULT_TARGETS, 3, 11, reps=3)
     record = json.dumps([best.to_json_dict(), objective], sort_keys=True)
     assert hashlib.sha256(record.encode()).hexdigest() == CALIBRATION_DIGEST
+
+
+def test_calibration_digest_holds_at_two_jobs():
+    best, objective = calibrate_profile(DEFAULT_TARGETS, 3, 11, reps=3, jobs=2)
+    record = json.dumps([best.to_json_dict(), objective], sort_keys=True)
+    assert hashlib.sha256(record.encode()).hexdigest() == CALIBRATION_DIGEST
+
+
+@pytest.mark.parametrize("target", [True, "0.1", 0.0, -1, math.inf, math.nan, None, [0.1]])
+def test_targets_must_be_positive_finite_numbers(target):
+    targets = CalibrationTargets(
+        liquidity_ratio=target, n_offers=60, n_trades=100, offered_shares=4000, traded_shares=500
+    )
+    with pytest.raises(ConfigError, match="^target liquidity_ratio=.*$"):
+        targets.validate()
+    CalibrationTargets(0.1, 60, 100, 4000, 500).validate()
 
 
 def test_calibrate_rejects_nonpositive_targets():

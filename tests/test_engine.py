@@ -350,7 +350,7 @@ def test_run_day_rejects_a_bad_seed(seed):
         run_day([], make_params(), seed)
 
 
-# --- inert pure buyers ---------------------------------------------------------
+# --- inert buyers ---------------------------------------------------------------
 
 # one pure seller posts 3 shares at exactly 25.0, which every pure buyer
 # accepts (k_pb * (25 - 50) = -50 saturates the acceptance curve)
@@ -362,17 +362,20 @@ SKIP_PARAMS = make_params(
 GATE_AT_25 = 25.0 * (1.0 - 1e-9) - 1e-300
 
 
-def _day_with_pb_calls(monkeypatch, roster, params, seed=0):
-    # run_day on a copy of `roster`, counting pb_decide calls per buyer;
-    # the day must equal the reference day
+def _day_with_calls(monkeypatch, roster, params, seed=0):
+    # run_day on a copy of `roster`, counting the pb_decide and
+    # bs_buy_decide calls per buyer; the day must equal the reference day
     calls = {}
 
-    def counting(agent, *args):
-        calls[agent.id] = calls.get(agent.id, 0) + 1
-        return rule(agent, *args)
+    def counting(rule):
+        def wrapper(agent, *args):
+            calls[agent.id] = calls.get(agent.id, 0) + 1
+            return rule(agent, *args)
 
-    rule = engine.pb_decide
-    monkeypatch.setattr(engine, "pb_decide", counting)
+        return wrapper
+
+    for name in ("pb_decide", "bs_buy_decide"):
+        monkeypatch.setattr(engine, name, counting(getattr(engine, name)))
     pop = [a.copy() for a in roster]
     trace, day = run_day(pop, params, seed)
     want = reference_day(roster, params, seed)
@@ -393,8 +396,12 @@ def _skip_roster(*budgets):
     return pop + [make_agent(len(pop), PS, shares=6)]
 
 
+def _fills(trace):
+    return [(ev.iteration, ev.fill.buyer, ev.fill.seller, ev.fill.units) for ev in trace.fills]
+
+
 def test_a_budget_exactly_at_the_cheapest_price_fills(monkeypatch):
-    calls, trace = _day_with_pb_calls(monkeypatch, _skip_roster(25.0), SKIP_PARAMS)
+    calls, trace = _day_with_calls(monkeypatch, _skip_roster(25.0), SKIP_PARAMS)
     assert calls == {0: 3}
     assert [(ev.fill.buyer, ev.fill.units) for ev in trace.fills] == [(0, 1)]
 
@@ -405,30 +412,99 @@ def test_a_budget_one_step_below_the_gate_is_skipped(monkeypatch):
     # price, whom only the exact test turns down
     below = math.nextafter(GATE_AT_25, 0.0)
     roster = _skip_roster(below, GATE_AT_25, math.nextafter(25.0, 0.0))
-    calls, trace = _day_with_pb_calls(monkeypatch, roster, SKIP_PARAMS)
+    calls, trace = _day_with_calls(monkeypatch, roster, SKIP_PARAMS)
     assert calls == {1: 3, 2: 3}
     assert trace.fills == []
 
 
 def test_cash_beyond_float_range_is_never_skipped(monkeypatch):
     roster = _skip_roster(Fraction(10**400), 1.0)
-    calls, trace = _day_with_pb_calls(monkeypatch, roster, SKIP_PARAMS)
+    calls, trace = _day_with_calls(monkeypatch, roster, SKIP_PARAMS)
     assert calls == {0: 3}
     assert [(ev.fill.buyer, ev.fill.units) for ev in trace.fills] == [(0, 3)]
 
 
 def test_an_empty_book_skips_every_pure_buyer(monkeypatch):
+    # and every buyer-seller too, whatever its cash
     roster = _skip_roster(Fraction(10**400), 25.0, 0.0)
     roster.append(make_agent(len(roster), BS, shares=6, cash=1000))
     params = SKIP_PARAMS.replace(ps_offer_prob=0.0, bs_offer_prob=0.0, bs_trade_prob=1.0)
-    bs_calls = []
-    rule = engine.bs_buy_decide
-    monkeypatch.setattr(
-        engine, "bs_buy_decide", lambda agent, *args: bs_calls.append(agent.id) or rule(agent, *args)
-    )
-    calls, trace = _day_with_pb_calls(monkeypatch, roster, params)
+    calls, trace = _day_with_calls(monkeypatch, roster, params)
     assert calls == {} and trace.fills == []
-    assert bs_calls == [len(roster) - 1] * params.n_trading_iters
+
+
+def _bs_skip_roster(*budgets):
+    # the pure seller of SKIP_PARAMS (3 shares at 25.0), then buyer-sellers
+    # 1..n holding no shares, with budget (cash * 0.5) `budgets`
+    pop = [make_agent(0, PS, shares=6)]
+    return pop + [make_agent(i, BS, 0, 2 * Fraction(b)) for i, b in enumerate(budgets, 1)]
+
+
+BS_SKIP_PARAMS = SKIP_PARAMS.replace(bs_trade_prob=1.0, bs_purchase_ratio=0.5)
+
+
+def test_a_buyer_seller_below_its_gate_is_never_called(monkeypatch):
+    # buyer-seller 1 is one float step below the gate at 25.0; 2 sits at
+    # it, and 3 at 25.0 itself fills
+    below = math.nextafter(GATE_AT_25, 0.0)
+    roster = _bs_skip_roster(below, GATE_AT_25, 25.0)
+    calls, trace = _day_with_calls(monkeypatch, roster, BS_SKIP_PARAMS)
+    assert calls == {2: 3, 3: 3}
+    assert _fills(trace) == [(1, 3, 0, 1)]
+
+
+def test_no_offer_below_the_reference_skips_every_buyer_seller(monkeypatch):
+    # the only offer sits at 55.0: buyer-sellers are never called, whatever
+    # their cash, while a pure buyer is (k_pb 0: it accepts with odds 1/2)
+    params = BS_SKIP_PARAMS.replace(ps_price_lo=1.1, ps_price_hi=1.1, k_pb=0.0)
+    roster = _bs_skip_roster(Fraction(10**400), 1000.0)
+    roster.append(make_agent(len(roster), PB, 0, 1000))
+    calls, trace = _day_with_calls(monkeypatch, roster, params)
+    assert calls == {3: 3}
+    assert _fills(trace) == [(1, 3, 0, 3)]
+
+
+def test_an_own_offer_cheapest_below_the_reference_sets_the_bound(monkeypatch):
+    # buyer-seller 1 lists 3 of its 9 shares at 30.0, below the pure
+    # seller's 40.0. Its bound is its own 30.0, so with a budget of 35.0 it
+    # is called every round and turns 40.0 down each time; buyer-seller 2,
+    # budget 29.0 and no shares, is below that bound and never called
+    params = BS_SKIP_PARAMS.replace(
+        ps_price_lo=0.8, ps_price_hi=0.8,
+        bs_offer_prob=1.0, bs_offer_ratio=1 / 3, bs_price_lo=0.6, bs_price_hi=0.6,
+    )
+    roster = _bs_skip_roster(35.0, 29.0)
+    roster[1].shares = 9
+    calls, trace = _day_with_calls(monkeypatch, roster, params)
+    assert sorted((o.seller, o.price) for o in trace.offers_entered) == [(0, 40.0), (1, 30.0)]
+    assert calls == {1: 3}
+    assert trace.fills == []
+
+
+@pytest.mark.parametrize(
+    "seed, fills",
+    [
+        # the buyer-seller buys in the round after its sale
+        (1, [(1, 2, 0, 3), (2, 2, 1, 1), (2, 0, 1, 1)]),
+        # it is visited after the pure buyer in the round of its sale, and
+        # buys in that same round
+        (2, [(1, 2, 0, 3), (1, 0, 1, 1), (2, 2, 1, 1)]),
+    ],
+)
+def test_a_sale_rearms_an_inert_buyer_seller(monkeypatch, seed, fills):
+    # buyer-seller 0 has no cash, so it is inert at the start: its bound is
+    # its own offer, 3 shares at 30.0. Pure buyer 2 buys that offer, and
+    # the 90.0 it brings (budget 54.0) lets 0 buy the pure seller's 49.0
+    params = make_params(
+        ps_offer_prob=1.0, ps_offer_ratio=0.5, ps_price_lo=0.98, ps_price_hi=0.98,
+        bs_offer_prob=1.0, bs_offer_ratio=1 / 3, bs_price_lo=0.6, bs_price_hi=0.6,
+        pb_trade_prob=1.0, pb_purchase_ratio=0.5, k_pb=1000.0,
+        bs_trade_prob=1.0, bs_purchase_ratio=0.6, n_trading_iters=4,
+    )
+    roster = [make_agent(0, BS, 9, 0), make_agent(1, PS, 6, 0), make_agent(2, PB, 0, 200)]
+    calls, trace = _day_with_calls(monkeypatch, roster, params, seed)
+    assert _fills(trace) == fills
+    assert 0 in calls
 
 
 # --- exact settlement digest --------------------------------------------------

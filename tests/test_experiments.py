@@ -7,8 +7,12 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_params, make_population
+from test_endowments import profiles
+from test_reference_day import market_params, rosters
 
 from fracmarket import (
     ConfigError,
@@ -116,6 +120,21 @@ def test_parallel_batch_matches_serial():
     serial = run_batch(params, profile, 8, 3, jobs=1)
     parallel = run_batch(params, profile, 8, 3, jobs=2)
     assert serial == parallel
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    params=market_params(),
+    source=profiles() | rosters(),
+    reps=st.integers(2, 4),
+    seed=st.integers(0, 2**32),
+)
+def test_two_jobs_give_the_serial_record(params, source, reps, seed):
+    # every example starts a pool of two workers, so there are few of them
+    serial = run_batch(params, source, reps, seed, jobs=1)
+    parallel = run_batch(params, source, reps, seed, jobs=2)
+    # compared as JSON, where an undefined mean (NaN) equals itself
+    assert json.dumps(parallel.to_record()) == json.dumps(serial.to_record())
 
 
 def test_pool_has_at_most_one_worker_per_day(monkeypatch):
