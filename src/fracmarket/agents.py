@@ -25,11 +25,18 @@ one step below `n` when `n` is a power of two and more than half a step
 otherwise, so the product rounds to a float below `n`. A pick is always
 a valid position.
 
-Cash is stored as a `Fraction`, but settlement computes on raw integers:
-the numerators and denominators of the cash balances and of the float
-prices and rates (`float.as_integer_ratio`, exact). Every guard is an
-integer cross-product, and each resulting `Fraction` (the two new
-balances, the notional, the fee, the purchase budget) is built once.
+Settlement builds no `Fraction`. It computes on plain integers: each
+agent's cash pair `cn / cd` (see `core.AgentState`) and the float price
+and rates as `float.as_integer_ratio` gives them, exactly. Every guard is
+an integer cross-product, and `_credit` adds an amount `n / d` to a
+balance with a multiply and an add, rescaling `cd` to the least common
+multiple only when `d` does not divide it. A price's denominator and the
+fee rate's are powers of two, so after the first few fills `cd` is
+already a multiple of them; it never exceeds the starting denominator
+times the largest price denominator times the fee rate's, however long an
+agent trades. A fill records its price, units and the buyer's budget as
+an unreduced integer pair; `notional` and `purchase_budget` build their
+Fractions only when read.
 
 Before the exact budget test, a float gate rejects a buyer whose budget
 `ratio * float(cash)` falls short of the offer's price by more than a
@@ -66,16 +73,43 @@ __all__ = [
 class TradeFill:
     """One executed trade: `units` shares at `price` against a live offer.
 
-    `notional` is the exact price * units; `purchase_budget` records the
-    buyer's spendable cash at decision time (useful for audits).
+    `budget` is the buyer's spendable cash at decision time as an integer
+    pair `(n, d)`, not necessarily reduced (useful for audits). Equality
+    compares the budget by value.
     """
 
     buyer: int
     seller: int
     price: float
     units: int
-    notional: Fraction
-    purchase_budget: Fraction
+    budget: tuple[int, int]
+
+    @property
+    def notional(self) -> Fraction:
+        """The exact price * units."""
+        return Fraction(self.price) * self.units
+
+    @notional.setter
+    def notional(self, value: Fraction) -> None:
+        # derived from price and units, so it can only be restated
+        if value != self.notional:
+            raise ContractViolation(f"notional {value} is not price * units")
+
+    @property
+    def purchase_budget(self) -> Fraction:
+        """`budget` as a reduced Fraction."""
+        return Fraction(*self.budget)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not TradeFill:
+            return NotImplemented
+        (bn, bd), (on, od) = self.budget, other.budget
+        return (self.buyer, self.seller, self.price, self.units) == (
+            other.buyer,
+            other.seller,
+            other.price,
+            other.units,
+        ) and bn * od == on * bd
 
 
 def _price_offer(
@@ -156,10 +190,10 @@ def _budget_fill(
     clearly below one share; the rest is decided on raw integers, so no
     exactness is lost and no rationals are built on a rejection path.
     """
-    cn, cd = agent.cash.numerator, agent.cash.denominator
+    cn, cd = agent.cn, agent.cd
     price = offer.price
     try:
-        if ratio * (cn / cd) < price * _GATE - _UNDERFLOW:  # cn / cd == float(cash)
+        if ratio * (cn / cd) < price * _GATE - _UNDERFLOW:  # cn / cd == float(cash), rounded once
             return None
     except OverflowError:
         pass  # cash beyond float range: the exact test decides
@@ -174,14 +208,7 @@ def _budget_fill(
         units = (bn * pd) // (bd * pn)  # floor(budget / price), all >= 0
         if units < 1:
             return None
-    return TradeFill(
-        buyer=agent.id,
-        seller=offer.seller,
-        price=price,
-        units=units,
-        notional=Fraction(pn * units, pd),
-        purchase_budget=Fraction(bn, bd),
-    )
+    return TradeFill(agent.id, offer.seller, price, units, (bn, bd))
 
 
 def pb_decide(
@@ -246,14 +273,15 @@ def settle_fill(
     seller: AgentState,
     book: OfferBook,
     params: ModelParams,
-) -> Fraction:
-    """Settle one fill immediately; returns the platform's exit fee on it.
+) -> None:
+    """Settle one fill immediately.
 
     Shares move to the buyer, the notional moves to the seller, and the
     book's offer is reduced or removed. The fee (exit_fee_rate of notional)
-    accrues to the platform; it is withheld from the seller's proceeds only
-    when debit_exit_fee is set. Raises ContractViolation if the fill does
-    not match a live offer or either party cannot cover its leg.
+    accrues to the platform (`compute_day_metrics` reports it); it is
+    withheld from the seller's proceeds only when debit_exit_fee is set.
+    Raises ContractViolation if the fill does not match a live offer or
+    either party cannot cover its leg.
     """
     if buyer.id != fill.buyer or seller.id != fill.seller:
         raise ContractViolation("fill does not reference these agents")
@@ -264,44 +292,45 @@ def settle_fill(
         raise ContractViolation("fill inconsistent with the live offer")
     if fill.units < 1:
         raise ContractViolation("fill of zero units")
-    notional = fill.notional
-    nn, nd = notional.numerator, notional.denominator
-    pn, pd = offer.price.as_integer_ratio()
-    if nn * pd != pn * fill.units * nd:
-        raise ContractViolation("fill notional does not equal price * units")
-    cash = buyer.cash
-    if cash.numerator * nd < nn * cash.denominator:
+    pn, pd = fill.price.as_integer_ratio()
+    if buyer.cn * pd < pn * fill.units * buyer.cd:  # cash < price * units
         raise ContractViolation("buyer cannot cover the notional")
     if seller.shares < fill.units:
         raise ContractViolation("seller does not hold the filled units")
-    fee = _transfer(fill, buyer, seller, params)
+    _transfer(fill, buyer, seller, params)
     book.apply_fill(fill.seller, fill.units)
-    return fee
 
 
 def _transfer(
     fill: TradeFill, buyer: AgentState, seller: AgentState, params: ModelParams
-) -> Fraction:
+) -> None:
     """Move the fill's shares to the buyer and its notional to the seller,
-    less the exit fee when debit_exit_fee is set; returns the fee. Shared by
-    live settlement and replay, so both land on the same exact balances.
+    less the exit fee when debit_exit_fee is set. Shared by live settlement
+    and replay, so both land on the same exact balances.
 
-    With notional n/d and fee rate f/g, the fee is nf/(dg), the buyer's
-    cash c/e becomes (cd - ne)/(ed), and the seller's s/t becomes
-    (sd + nt)/(td), or (sdg + n(g - f)t)/(tdg) when the fee is debited.
+    With price p/q and fee rate f/g, the notional is (p * units)/q; the
+    seller receives it, or (p * units)(g - f)/(qg) when the fee is debited.
     """
-    nn, nd = fill.notional.numerator, fill.notional.denominator
-    fn, fd = params.exit_fee_rate.as_integer_ratio()
+    pn, pd = fill.price.as_integer_ratio()
+    n = pn * fill.units
     buyer.shares += fill.units
-    c = buyer.cash
-    buyer.cash = Fraction(c.numerator * nd - nn * c.denominator, c.denominator * nd)
+    _credit(buyer, -n, pd)
     seller.shares -= fill.units
-    c = seller.cash
     if params.debit_exit_fee:
-        seller.cash = Fraction(
-            c.numerator * nd * fd + nn * (fd - fn) * c.denominator,
-            c.denominator * nd * fd,
-        )
+        fn, fd = params.exit_fee_rate.as_integer_ratio()
+        _credit(seller, n * (fd - fn), pd * fd)
     else:
-        seller.cash = Fraction(c.numerator * nd + nn * c.denominator, c.denominator * nd)
-    return Fraction(nn * fn, nd * fd)
+        _credit(seller, n, pd)
+
+
+def _credit(agent: AgentState, n: int, d: int) -> None:
+    """Add n/d to the agent's cash pair, exactly; a negative n debits.
+
+    `cd` is rescaled, to lcm(cd, d), only when d does not divide it.
+    """
+    cd = agent.cd
+    if cd % d:
+        scale = d // math.gcd(cd, d)
+        agent.cn *= scale
+        agent.cd = cd = cd * scale
+    agent.cn += n * (cd // d)

@@ -6,16 +6,22 @@ then accept offers, fully or partially, over a fixed number of trading
 iterations. Buyers cannot post bids, and offers that remain unmatched at the
 end of a trading day are deleted, so no order state survives across days.
 
-Cash is stored as an exact rational (`fractions.Fraction`) so that settlement
-conserves money exactly: every binary float is a dyadic rational and converts
+Cash is exact: every binary float is a dyadic rational and converts
 without loss, which lets conservation checks use equality instead of
-tolerances. Offer prices stay ordinary floats. Settlement computes on the
-raw integer numerators and denominators (a float price through
-`float.as_integer_ratio`) and builds each resulting `Fraction` once. Only
-the budget check first looks at floats: it skips the exact test when the
-float budget is below the price by more than a relative 1e-9, far beyond
-float rounding (about 2e-16), so it never rejects an affordable share;
-see `agents`.
+tolerances. An agent holds its cash as two plain integers, `cn / cd`, not
+necessarily in lowest terms, and settlement updates them with integer
+multiplies and adds (`agents._credit`); a `fractions.Fraction` is built
+only when `agent.cash` is read. Offer prices stay ordinary floats and enter
+the arithmetic through `float.as_integer_ratio`, so their denominators,
+and the exit fee rate's, are powers of two. A credit rescales `cd` only
+when the amount's denominator does not divide it, to their least common
+multiple; so `cd` keeps the odd part of the agent's starting denominator
+and its power of two never exceeds the largest seen, and stays below the
+starting denominator times the largest price denominator times the fee
+rate's, however many days an agent trades. Only the budget check first
+looks at floats: it skips the exact test when the float budget is below
+the price by more than a relative 1e-9, far beyond float rounding (about
+2e-16), so it never rejects an affordable share; see `agents`.
 """
 
 from __future__ import annotations
@@ -102,28 +108,62 @@ class AgentKind(Enum):
         return self is not AgentKind.PURE_SELLER
 
 
-@dataclass(slots=True)
 class AgentState:
-    """Mutable balance sheet of one market participant."""
+    """Mutable balance sheet of one market participant.
 
-    id: AgentId
-    kind: AgentKind
-    shares: int
-    cash: Fraction
+    `AgentState(id, kind, shares, cash)` takes cash as any exact number (an
+    int, a Fraction, a float, a Decimal or a decimal string) and stores it
+    as the integer pair `cn / cd`, `cd > 0`, not necessarily reduced.
+    Reading `cash` returns the reduced Fraction; assigning it replaces the
+    pair. Equality compares values, the cash by cross-multiplication.
+    """
 
-    def __post_init__(self) -> None:
-        # exact type checks; Fraction's metaclass makes isinstance costly
-        if type(self.shares) is not int:
-            self.shares = int(self.shares)
-        if type(self.cash) is not Fraction:
-            self.cash = Fraction(self.cash)
+    __slots__ = ("id", "kind", "shares", "cn", "cd")
+
+    def __init__(self, id: AgentId, kind: AgentKind, shares: int, cash) -> None:
+        self.id = id
+        self.kind = kind
+        self.shares = shares if type(shares) is int else int(shares)
+        self.cash = cash
         if self.shares < 0:
-            raise ContractViolation(f"agent {self.id}: negative shares {self.shares}")
-        if self.cash.numerator < 0:
-            raise ContractViolation(f"agent {self.id}: negative cash {self.cash}")
+            raise ContractViolation(f"agent {id}: negative shares {self.shares}")
+        if self.cn < 0:
+            raise ContractViolation(f"agent {id}: negative cash {self.cash}")
+
+    @property
+    def cash(self) -> Fraction:
+        return Fraction(self.cn, self.cd)
+
+    @cash.setter
+    def cash(self, value) -> None:
+        # exact type checks; Fraction's metaclass makes isinstance costly
+        t = type(value)
+        if t is not int and t is not float and t is not Fraction:
+            value = Fraction(value)
+        self.cn, self.cd = value.as_integer_ratio()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not AgentState:
+            return NotImplemented
+        return (self.id, self.kind, self.shares) == (
+            other.id,
+            other.kind,
+            other.shares,
+        ) and self.cn * other.cd == other.cn * self.cd
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return (
+            f"AgentState(id={self.id!r}, kind={self.kind!r}, "
+            f"shares={self.shares!r}, cash={self.cash!r})"
+        )
 
     def copy(self) -> "AgentState":
-        return AgentState(self.id, self.kind, self.shares, self.cash)
+        out = AgentState.__new__(AgentState)  # the pair as it is, unvalidated
+        out.id, out.kind, out.shares = self.id, self.kind, self.shares
+        out.cn, out.cd = self.cn, self.cd
+        return out
 
 
 # a kind column holds each agent's kind as its position in this tuple, the
@@ -155,10 +195,8 @@ class LazyPopulation(Sequence[AgentState]):
     def __getitem__(self, i: int) -> AgentState:
         agent = self._agents[i]
         if agent is None:
-            c = float(self.cash[i])
-            # the integer constructor is much cheaper than the float one
-            cash = Fraction(int(c)) if c.is_integer() else Fraction(c)
             kind = KIND_ORDER[self.kinds[i]]
+            cash = float(self.cash[i])  # stored as its exact integer ratio
             agent = self._agents[i] = AgentState(i, kind, int(self.shares[i]), cash)
         return agent
 
@@ -376,12 +414,12 @@ class ModelParams:
             "exit_fee_rate",
         ):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
+            if not _is_real(v) or not 0.0 <= v <= 1.0:
                 problems.append(f"{name}={v!r} not in [0, 1]")
-        p_ref_ok = isinstance(self.p_ref, (int, float)) and 0 < self.p_ref < math.inf
+        p_ref_ok = _is_real(self.p_ref) and 0 < self.p_ref < math.inf
         if not p_ref_ok:
             problems.append(f"p_ref={self.p_ref!r} not positive and finite")
-        if not (isinstance(self.k_pb, (int, float)) and math.isfinite(self.k_pb)):
+        if not (_is_real(self.k_pb) and math.isfinite(self.k_pb)):
             problems.append(f"k_pb={self.k_pb!r} not finite")
         # zero-width bounds (lo == hi) are legal so degenerate price draws
         # can be scripted in tests. The two price bands price offers from
@@ -392,7 +430,7 @@ class ModelParams:
             ("market_lo", "market_hi", False),
         ):
             lo, hi = getattr(self, lo_name), getattr(self, hi_name)
-            if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float))):
+            if not (_is_real(lo) and _is_real(hi)):
                 problems.append(f"{lo_name}/{hi_name} not numeric")
             elif not (0.0 < lo <= hi < math.inf):
                 problems.append(
@@ -446,6 +484,12 @@ class ModelParams:
     @staticmethod
     def field_names() -> tuple[str, ...]:
         return tuple(f.name for f in fields(ModelParams))
+
+
+def _is_real(value) -> bool:
+    """An int or float parameter value; a bool is an int to isinstance but
+    not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def as_number(name: str, value, kind: type = float) -> float | int:

@@ -227,13 +227,24 @@ class EndowmentProfile:
         return profile
 
 
+def _open(path: Path, what: str, **kwargs):
+    """`path` opened for reading as UTF-8 text. A failure to open it (a
+    missing file, a directory, a path with a null byte) raises a one-line
+    EndowmentError naming `what` and the path."""
+    try:
+        return open(path, encoding="utf-8", **kwargs)
+    except FileNotFoundError:
+        raise EndowmentError(f"{what} not found: {path}") from None
+    except (OSError, ValueError) as e:
+        reason = getattr(e, "strerror", None) or e
+        raise EndowmentError(f"cannot open {what} {str(path)!r}: {reason}") from None
+
+
 def load_profile(path) -> EndowmentProfile:
     p = Path(path)
     try:
-        with open(p, encoding="utf-8") as f:
+        with _open(p, "profile file") as f:
             d = json.load(f)
-    except FileNotFoundError:
-        raise EndowmentError(f"profile file not found: {p}") from None
     except json.JSONDecodeError as e:
         raise EndowmentError(f"profile file {p} is not valid JSON: {e}") from None
     if not isinstance(d, dict):
@@ -320,11 +331,7 @@ def load_population(path) -> list[AgentState]:
     EndowmentError naming the offending data row (1-based).
     """
     p = Path(path)
-    try:
-        f = open(p, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise EndowmentError(f"endowment file not found: {p}") from None
-    with f:
+    with _open(p, "endowment file", newline="") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)

@@ -60,7 +60,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -205,16 +204,17 @@ def _live_buyers(
     if isinstance(population, LazyPopulation):
         cash = population.cash
     else:
-        cash = np.array([_float_cash(a.cash) for a in population])
+        cash = np.array([_float_cash(a) for a in population])
     pure = kinds == _PB
     ratio = np.where(pure, params.pb_purchase_ratio, params.bs_purchase_ratio)
     return (ratio * cash >= np.where(pure, *gates)).tolist()
 
 
-def _float_cash(cash: Fraction) -> float:
-    """`float(cash)`, or infinity for cash beyond float range."""
+def _float_cash(agent: AgentState) -> float:
+    """`float(agent.cash)`, or infinity for cash beyond float range. Integer
+    division rounds correctly, so the unreduced pair gives the same float."""
     try:
-        return cash.numerator / cash.denominator
+        return agent.cn / agent.cd
     except OverflowError:
         return math.inf
 
@@ -280,7 +280,7 @@ def run_trading(
             fills.append(FillEvent(it, fill))
             if not live[seller.id] and seller.kind is AgentKind.BUYER_SELLER:
                 # the sale raised its cash: check its gate again
-                live[seller.id] = params.bs_purchase_ratio * _float_cash(seller.cash) >= gates[1]
+                live[seller.id] = params.bs_purchase_ratio * _float_cash(seller) >= gates[1]
     return DayTrace(offers_entered, fills)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .core import ConfigError, ModelParams, OfferBook
@@ -64,24 +63,26 @@ def compute_day_metrics(
 
     `book_initial` must be the start-of-day book (post offer entry, before
     any fill); offered quantities are read from it, traded quantities from
-    the trace. Notional sums are carried out exactly before conversion: in
-    integers over the notionals' common denominator, as one Fraction.
+    the trace. Notional sums are carried out exactly before conversion: the
+    prices' integer ratios times units, summed in integers over their
+    common denominator, then divided once (int / int rounds correctly, as
+    float(Fraction) does). No Fraction is built.
     """
     n_offers = len(book_initial.offers)
     offered = sum(o.quantity for o in book_initial.offers)
     n_trades = len(trace.fills)
     traded = sum(ev.fill.units for ev in trace.fills)
-    notionals = [ev.fill.notional for ev in trace.fills]
-    den = math.lcm(*(x.denominator for x in notionals))
-    notional = Fraction(sum(x.numerator * (den // x.denominator) for x in notionals), den)
-    revenue = Fraction(params.exit_fee_rate) * notional
+    terms = [(ev.fill.price.as_integer_ratio(), ev.fill.units) for ev in trace.fills]
+    den = math.lcm(*(pd for (_, pd), _ in terms))
+    num = sum(pn * units * (den // pd) for (pn, pd), units in terms)  # notional = num/den
+    fn, fd = params.exit_fee_rate.as_integer_ratio()
     return DayMetrics(
         n_offers=n_offers,
         n_trades=n_trades,
         offered_shares=offered,
         traded_shares=traded,
-        traded_notional=float(notional),
-        platform_revenue=float(revenue),
+        traded_notional=num / den,
+        platform_revenue=(num * fn) / (den * fd),
         liquidity_ratio=(traded / offered) if offered > 0 else None,
     )
 

@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 from fracmarket import (
     AgentKind,
     ContractViolation,
+    DayTrace,
+    FillEvent,
     Offer,
     OfferBook,
     TradeFill,
     bs_buy_decide,
     bs_offer_decide,
+    compute_day_metrics,
     make_rng,
     pb_accept_prob,
     pb_decide,
     ps_decide,
+    replay_fills,
     settle_fill,
 )
 
@@ -495,12 +499,15 @@ def test_settle_moves_shares_cash_and_book_exactly():
     params = certain_buy_params(pb_purchase_ratio=1.0)
     fill = pb_decide(buyer, book, params, TAKE_FIRST)
     assert fill.units == 5
-    fee = settle_fill(fill, buyer, seller, book, params)
+    debited = [buyer.copy(), seller.copy()]
+    assert settle_fill(fill, buyer, seller, book, params) is None
     assert buyer.shares == 5
     assert buyer.cash == 0  # 200 - 40 * 5 exactly
     assert seller.shares == 4
     assert seller.cash == 200
-    assert fee == Fraction(0.02) * 200
+    # the fee accrued on the fill is what a debit withholds from the seller
+    replay_fills(debited, [FillEvent(1, fill)], params.replace(debit_exit_fee=True))
+    assert seller.cash - debited[1].cash == Fraction(0.02) * 200
     assert len(book) == 0
 
 
@@ -511,7 +518,9 @@ def test_settle_fee_debited_only_when_enabled():
     buyer = make_agent(id=0, kind=PB, cash=200)
     seller = make_agent(id=1, kind=PS, shares=5)
     fill = pb_decide(buyer, book, params.replace(pb_trade_prob=1.0, pb_purchase_ratio=1.0), TAKE_FIRST)
-    fee = settle_fill(fill, buyer, seller, book, params)
+    assert settle_fill(fill, buyer, seller, book, params) is None
+    fee = fill.notional - seller.cash  # the seller's proceeds fall short by the fee
+    assert fee == Fraction(0.25) * fill.notional
     assert fee == 50  # 0.25 is exactly representable, 0.25 * 200 == 50
     assert seller.cash == 150
     assert buyer.cash == 0
@@ -525,15 +534,11 @@ def test_settle_rejects_inconsistent_fills():
     params = certain_buy_params()
     fill = pb_decide(buyer, book, params, TAKE_FIRST)
 
-    wrong_units = TradeFill(
-        buyer=0, seller=1, price=40.0, units=3, notional=Fraction(120), purchase_budget=fill.purchase_budget
-    )
+    wrong_units = TradeFill(buyer=0, seller=1, price=40.0, units=3, budget=fill.budget)
     with pytest.raises(ContractViolation):
         settle_fill(wrong_units, buyer, seller, book, params)
 
-    wrong_price = TradeFill(
-        buyer=0, seller=1, price=41.0, units=1, notional=Fraction(41), purchase_budget=fill.purchase_budget
-    )
+    wrong_price = TradeFill(buyer=0, seller=1, price=41.0, units=1, budget=fill.budget)
     with pytest.raises(ContractViolation):
         settle_fill(wrong_price, buyer, seller, book, params)
 
@@ -550,8 +555,86 @@ def test_settle_rejects_self_trade():
     book.insert(make_offer(price=40.0, quantity=2, seller=0))
     agent = make_agent(id=0, kind=BS, shares=5, cash=1000)
     params = certain_buy_params()
-    fill = TradeFill(
-        buyer=0, seller=0, price=40.0, units=1, notional=Fraction(40.0), purchase_budget=Fraction(100)
-    )
+    fill = TradeFill(buyer=0, seller=0, price=40.0, units=1, budget=(100, 1))
     with pytest.raises(ContractViolation):
         settle_fill(fill, agent, agent, book, params)
+
+
+# --- integer cash against plain Fraction arithmetic ---------------------------
+
+_CASH = st.one_of(
+    st.integers(0, 10**9).map(lambda c: Fraction(c, 100)),  # whole cents
+    st.integers(10**6, 10**15).map(lambda c: Fraction(c, 10**6)),
+    st.floats(1.0, 1e12).map(Fraction),  # dyadic
+    st.integers(2**1024, 2**1100),  # beyond float range
+)
+_PRICE = st.one_of(
+    st.floats(1e-3, 1e6),
+    st.floats(10.0, 100.0),
+    st.floats(5e-324, 1e-250),  # tiny, subnormals included
+    st.floats(1e250, 1e300),  # huge: only cash beyond float range covers it
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cash=st.lists(_CASH, min_size=2, max_size=4),
+    trades=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 2), _PRICE, st.integers(1, 5)),
+        min_size=1,
+        max_size=30,
+    ),
+    fee=st.floats(0.0, 1.0),
+    debit=st.booleans(),
+)
+def test_integer_settlement_equals_fraction_arithmetic(cash, trades, fee, debit):
+    """Random fills, many on the same agents, settled live and replayed,
+    land on the balances plain Fraction arithmetic gives; the cash
+    denominators stay within their bound and the day metrics match."""
+    params = make_params(exit_fee_rate=fee, debit_exit_fee=debit)
+    n = len(cash)
+    agents = [make_agent(i, BS, shares=10**6, cash=c) for i, c in enumerate(cash)]
+    start = [a.copy() for a in agents]
+    ref = [[10**6, Fraction(c)] for c in cash]
+    rate = Fraction(fee)
+    done = []
+    for b, step, price, units in trades:
+        b = b % n
+        s = (b + 1 + step % (n - 1)) % n  # never the buyer
+        book = OfferBook()
+        book.insert(Offer(price, units, s))
+        fill = TradeFill(b, s, price, units, (0, 1))
+        notional = Fraction(price) * units
+        if ref[b][1] < notional:
+            with pytest.raises(ContractViolation, match="cannot cover"):
+                settle_fill(fill, agents[b], agents[s], book, params)
+            continue
+        assert settle_fill(fill, agents[b], agents[s], book, params) is None
+        ref[b][0] += units
+        ref[b][1] -= notional
+        ref[s][0] -= units
+        ref[s][1] += notional - rate * notional if debit else notional
+        done.append(FillEvent(1, fill))
+        assert [[a.shares, a.cash] for a in agents] == ref
+    replayed = [a.copy() for a in start]
+    replay_fills(replayed, done, params)
+    assert replayed == agents
+    largest = max((ev.fill.price.as_integer_ratio()[1] for ev in done), default=1)
+    bound = largest * fee.as_integer_ratio()[1]
+    assert all((a0.cd * bound) % a.cd == 0 for a, a0 in zip(agents, start))
+    day = compute_day_metrics(DayTrace([], done), OfferBook(), params)
+    total = sum((ev.fill.notional for ev in done), Fraction(0))
+    assert day.traded_notional == float(total)
+    assert day.platform_revenue == float(rate * total)
+
+
+def test_fill_notional_and_budget_are_exact_and_compare_by_value():
+    fill = TradeFill(0, 1, 0.1, 3, (10, 4))
+    assert fill.notional == Fraction(0.1) * 3
+    assert fill.purchase_budget == Fraction(5, 2)
+    assert fill == TradeFill(0, 1, 0.1, 3, (5 * 2**70, 2**71))
+    assert fill != TradeFill(0, 1, 0.1, 3, (5, 3))
+    assert fill != TradeFill(0, 1, 0.1, 2, (5, 2))
+    fill.notional = Fraction(0.1) * 3  # restating the value is allowed
+    with pytest.raises(ContractViolation, match="not price"):
+        fill.notional = Fraction(3, 10)

@@ -1,6 +1,7 @@
 """Offer book bookkeeping and parameter validation."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -206,6 +207,8 @@ def test_agent_state_rejects_negative_balances():
         AgentState(0, AgentKind.PURE_BUYER, -1, Fraction(0))
     with pytest.raises(ContractViolation):
         AgentState(0, AgentKind.PURE_BUYER, 0, Fraction(-1))
+    with pytest.raises(ContractViolation, match="negative cash -1/4"):
+        AgentState(3, AgentKind.PURE_BUYER, 0, -0.25)
 
 
 def test_agent_state_copy_is_deep_enough():
@@ -214,6 +217,56 @@ def test_agent_state_copy_is_deep_enough():
     b.shares += 1
     b.cash += 1
     assert a.shares == 5 and a.cash == 10
+    a.cn, a.cd = 70, 7
+    b = a.copy()
+    assert (b.id, b.kind, b.shares, b.cn, b.cd) == (a.id, a.kind, 5, 70, 7)
+
+
+def test_agent_state_holds_cash_as_an_integer_pair():
+    assert (make_agent(cash=7).cn, make_agent(cash=7).cd) == (7, 1)
+    a = AgentState(0, AgentKind.PURE_BUYER, 0, Fraction(10, 4))
+    assert (a.cn, a.cd) == (5, 2) and type(a.cash) is Fraction
+    for cash, want in ((0.1, Fraction(0.1)), ("12.34", Fraction(1234, 100)), (True, 1)):
+        assert AgentState(0, AgentKind.PURE_BUYER, 0, cash).cash == want
+    a.cn, a.cd = 30, 6  # an unreduced pair, as settlement leaves it
+    assert a.cash == 5 and (a.cash.numerator, a.cash.denominator) == (5, 1)
+    a.cash += Fraction(1, 3)
+    assert a.cash == Fraction(16, 3)
+    a.cash = 0.5
+    assert (a.cn, a.cd) == (1, 2)
+    a.cash = 4
+    assert (a.cn, a.cd) == (4, 1)
+
+
+def test_agent_state_equality_compares_values():
+    a = make_agent(id=2, kind=AgentKind.BUYER_SELLER, shares=3, cash=Fraction(3, 2))
+    b = a.copy()
+    b.cn, b.cd = 3 * 2**60, 2**61  # the same cash, unreduced
+    assert a == b and not a != b
+    assert a != make_agent(id=2, kind=AgentKind.BUYER_SELLER, shares=3, cash=Fraction(3, 4))
+    assert a != make_agent(id=2, kind=AgentKind.BUYER_SELLER, shares=4, cash=Fraction(3, 2))
+    assert a != make_agent(id=1, kind=AgentKind.BUYER_SELLER, shares=3, cash=Fraction(3, 2))
+    assert a != make_agent(id=2, kind=AgentKind.PURE_BUYER, shares=3, cash=Fraction(3, 2))
+    assert a != (2, AgentKind.BUYER_SELLER, 3, Fraction(3, 2))
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_agent_state_repr_shows_the_reduced_cash():
+    a = make_agent(id=4, kind=AgentKind.PURE_BUYER, shares=0, cash=1)
+    a.cn, a.cd = 9, 6
+    assert repr(a) == (
+        "AgentState(id=4, kind=<AgentKind.PURE_BUYER: 'PB'>, shares=0, cash=Fraction(3, 2))"
+    )
+
+
+@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+def test_agent_state_pickles(protocol):
+    a = make_agent(id=9, kind=AgentKind.BUYER_SELLER, shares=12, cash=Fraction(1234, 100))
+    a.cn, a.cd = a.cn * 2**50, a.cd * 2**50
+    b = pickle.loads(pickle.dumps([a], protocol))[0]
+    assert type(b) is AgentState and b == a
+    assert (b.id, b.kind, b.shares, b.cn, b.cd) == (a.id, a.kind, a.shares, a.cn, a.cd)
 
 
 def test_agent_kind_roles():
@@ -253,6 +306,16 @@ def test_validation_reports_every_problem():
         p.validate()
     msg = str(e.value)
     assert "ps_offer_prob" in msg and "pb_purchase_ratio" in msg and "p_ref" in msg
+
+
+def test_validation_rejects_bools_for_numeric_fields():
+    p = make_params(pb_trade_prob=True, exit_fee_rate=False, k_pb=True, p_ref=True, ps_price_lo=True)
+    with pytest.raises(ConfigError) as e:
+        p.validate()
+    msg = str(e.value)
+    assert "\n" not in msg
+    for name in ("pb_trade_prob=True", "exit_fee_rate=False", "k_pb=True", "p_ref=True", "ps_price_lo"):
+        assert name in msg
 
 
 def test_price_bounds_must_be_ordered():

@@ -334,6 +334,15 @@ def test_load_missing_file_names_path(tmp_path):
         load_population(missing)
 
 
+@pytest.mark.parametrize("load", [load_population, load_profile])
+def test_a_path_that_cannot_be_opened_is_a_one_line_error(load, tmp_path):
+    for path, reason in ((str(tmp_path), "Is a directory"), ("bad\x00name", "embedded null byte")):
+        with pytest.raises(EndowmentError, match=reason) as e:
+            load(path)
+        msg = str(e.value)
+        assert repr(path) in msg and "\n" not in msg
+
+
 def test_load_decimal_cash_is_exact(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("kind,shares,cash\nPB,0,10.25\nPB,0,0.1\n")

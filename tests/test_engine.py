@@ -570,3 +570,32 @@ def test_roster_settlement_digest_is_pinned():
     assert sum(len(d["fills"]) for d in days) > 300  # otherwise the pin is weak
     record = json.dumps(days, sort_keys=True)
     assert hashlib.sha256(record.encode()).hexdigest() == ROSTER_DIGEST
+
+
+def test_cash_denominators_stay_bounded_over_fifty_days():
+    """Over 50 days of debited-fee trading on one roster, every agent's cash
+    denominator keeps dividing its starting one times the largest price
+    denominator times the fee rate's (all but the first are powers of
+    two), so it cannot grow without bound however long agents trade."""
+    pop = _cent_roster(31)
+    params = make_params(
+        ps_offer_prob=0.5,
+        bs_offer_prob=0.5,
+        pb_trade_prob=0.3,
+        bs_trade_prob=0.3,
+        pb_purchase_ratio=0.1,
+        bs_purchase_ratio=0.1,
+        debit_exit_fee=True,
+    )
+    start = [a.cd for a in pop]
+    fee_den = params.exit_fee_rate.as_integer_ratio()[1]
+    largest = n_fills = 0
+    for d in range(50):
+        trace, _ = run_day(pop, params, np.random.SeedSequence(91, spawn_key=(d,)))
+        n_fills += len(trace.fills)
+        largest = max([largest] + [ev.fill.price.as_integer_ratio()[1] for ev in trace.fills])
+        bad = [a.id for a, cd0 in zip(pop, start) if (cd0 * largest * fee_den) % a.cd]
+        assert not bad, f"day {d}: agents {bad[:5]} beyond the bound"
+    assert n_fills > 2000
+    # sellers were credited net of the fee, so the bound is reached, not idle
+    assert max(a.cd // cd0 for a, cd0 in zip(pop, start)) > fee_den

@@ -51,8 +51,7 @@ def fill(price: float, units: int, buyer=0, seller=1) -> TradeFill:
         seller=seller,
         price=price,
         units=units,
-        notional=Fraction(price) * units,
-        purchase_budget=Fraction(10**9),
+        budget=(10**9, 1),
     )
 
 
