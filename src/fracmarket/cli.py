@@ -32,7 +32,7 @@ from .core import (
     ConfigError, EndowmentError, MarketError, ModelParams, as_number, as_seed, make_rng,
 )
 from .endowments import (
-    EndowmentProfile, _profile_streams, default_profile, generate_population,
+    EndowmentProfile, _open, _profile_streams, default_profile, generate_population,
     load_population, load_profile, save_population, save_profile,
 )
 from .engine import export_trace, run_day
@@ -55,10 +55,8 @@ def _load_config(path: Path | None, what: str = "config") -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as f:
+        with _open(path, f"{what} file") as f:
             cfg = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from None
     if not isinstance(cfg, dict):

@@ -51,6 +51,7 @@ __all__ = [
     "Offer",
     "OfferBook",
     "Rng",
+    "as_count",
     "as_number",
     "as_seed",
     "make_rng",
@@ -377,11 +378,6 @@ class ModelParams:
     def baseline(cls) -> "ModelParams":
         return cls()
 
-    @classmethod
-    def with_market_range(cls, lo: float, hi: float, **overrides) -> "ModelParams":
-        """Build params from a market valuation range (lo, hi)."""
-        return cls(**overrides).with_ranges_from_market(lo, hi)
-
     def with_ranges_from_market(self, lo: float, hi: float) -> "ModelParams":
         """Copy with the valuation envelope moved to (lo, hi).
 
@@ -488,8 +484,9 @@ class ModelParams:
 
 def _is_real(value) -> bool:
     """An int or float parameter value; a bool is an int to isinstance but
-    not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    not a number here. A plain float, the common case, is settled by the
+    cheap exact-type test: a profile day validates its profile."""
+    return type(value) is float or isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def as_number(name: str, value, kind: type = float) -> float | int:
@@ -528,6 +525,14 @@ def as_seed(value, name: str = "seed") -> int:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0:
         return int(value)
     raise ConfigError(f"{name}={value!r} must be a non-negative integer")
+
+
+def as_count(value, name: str) -> int:
+    """`value` as a count, such as a number of days or workers: a positive
+    integer, a bool excluded. Raises ConfigError naming `name` and the value."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1:
+        return int(value)
+    raise ConfigError(f"{name}={value!r} must be a positive integer")
 
 
 _FLAG_WORDS = {"true": True, "false": False, "1": True, "0": False}

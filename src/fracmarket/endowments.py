@@ -17,14 +17,15 @@ population exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .core import (
     LazyPopulation,
     ModelParams,
     Rng,
+    _is_real,
     as_number,
     as_seed,
     make_rng,
@@ -56,17 +58,35 @@ __all__ = [
     "simulate_profile_day",
 ]
 
-DIST_FAMILIES = ("constant", "uniform-integer", "lognormal-rounded", "pareto-rounded")
+# family -> (its argument names, the draw of n values as floats, which takes
+# the arguments by name); the rounded families return whole numbers
+_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., np.ndarray]]] = {
+    "constant": (("value",), lambda n, rng, value: np.full(n, float(value))),
+    "uniform-integer": (
+        ("lo", "hi"),
+        lambda n, rng, lo, hi: rng.integers(int(lo), int(hi) + 1, size=n).astype(float),
+    ),
+    "lognormal-rounded": (
+        ("mu", "sigma"),
+        lambda n, rng, mu, sigma: np.rint(rng.lognormal(mu, sigma, size=n)),
+    ),
+    "pareto-rounded": (
+        ("shape", "scale"),
+        lambda n, rng, shape, scale: np.rint(scale * (1.0 - rng.random(n)) ** (-1.0 / shape)),
+    ),
+}
 
 
 @dataclass(frozen=True)
 class DistSpec:
-    """One endowment distribution.
+    """One endowment distribution: a family and its arguments, each an int
+    or a float (a bool is neither).
 
     Families and their arguments:
 
     * ``constant``: {value}
-    * ``uniform-integer``: {lo, hi}, both ends inclusive
+    * ``uniform-integer``: {lo, hi}, both ends inclusive, whole numbers
+      with ``0 <= lo <= hi < 2**63``
     * ``lognormal-rounded``: {mu, sigma} of the underlying normal, rounded
       to the nearest whole number
     * ``pareto-rounded``: {shape, scale}, heavy-tailed with minimum
@@ -77,16 +97,13 @@ class DistSpec:
     args: dict[str, float] = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.family not in DIST_FAMILIES:
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise ConfigError(
-                f"unknown distribution family {self.family!r}; expected one of {DIST_FAMILIES}"
+                f"unknown distribution family {self.family!r}; expected one of {tuple(_FAMILIES)}"
             )
-        required = {
-            "constant": ("value",),
-            "uniform-integer": ("lo", "hi"),
-            "lognormal-rounded": ("mu", "sigma"),
-            "pareto-rounded": ("shape", "scale"),
-        }[self.family]
+        if not isinstance(self.args, dict):
+            raise ConfigError(f"distribution {self.family!r}: args {self.args!r} not a dict")
+        required = _FAMILIES[self.family][0]
         missing = [k for k in required if k not in self.args]
         extra = [k for k in self.args if k not in required]
         if missing or extra:
@@ -94,14 +111,15 @@ class DistSpec:
                 f"distribution {self.family!r}: missing args {missing}, unexpected {extra}"
             )
         a = self.args
-        infinite = [k for k, v in a.items() if not math.isfinite(v)]
-        if infinite:
-            raise ConfigError(f"distribution {self.family!r}: args {infinite} not finite")
+        bad = [k for k, v in a.items() if not (_is_real(v) and math.isfinite(v))]
+        if bad:
+            raise ConfigError(f"distribution {self.family!r}: args {bad} not finite numbers")
         if self.family == "constant" and a["value"] < 0:
             raise ConfigError(f"constant value {a['value']} negative")
         if self.family == "uniform-integer":
             lo, hi = a["lo"], a["hi"]
-            if lo != int(lo) or hi != int(hi) or not 0 <= lo <= hi:
+            # numpy draws int64, so hi + 1 may reach 2**63 but not pass it
+            if lo != int(lo) or hi != int(hi) or not 0 <= lo <= hi < 2**63:
                 raise ConfigError(f"uniform-integer bounds ({lo}, {hi}) invalid")
         if self.family == "lognormal-rounded" and a["sigma"] < 0:
             raise ConfigError(f"lognormal sigma {a['sigma']} negative")
@@ -113,17 +131,7 @@ class DistSpec:
 
     def sample(self, n: int, rng: Rng) -> np.ndarray:
         """Draw n values as floats; rounded families return whole numbers."""
-        a = self.args
-        if self.family == "constant":
-            return np.full(n, float(a["value"]))
-        if self.family == "uniform-integer":
-            return rng.integers(int(a["lo"]), int(a["hi"]) + 1, size=n).astype(float)
-        if self.family == "lognormal-rounded":
-            return np.rint(rng.lognormal(a["mu"], a["sigma"], size=n))
-        if self.family == "pareto-rounded":
-            u = rng.random(n)
-            return np.rint(a["scale"] * (1.0 - u) ** (-1.0 / a["shape"]))
-        raise ConfigError(f"unknown distribution family {self.family!r}")
+        return _FAMILIES[self.family][1](n, rng, **self.args)
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, **self.args}
@@ -138,7 +146,7 @@ class DistSpec:
         return spec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EndowmentProfile:
     """Recipe for generating a population.
 
@@ -149,95 +157,87 @@ class EndowmentProfile:
     start the day with zero and can never offer.
     """
 
-    share_dist_ps: DistSpec
-    share_dist_bs: DistSpec
-    cash_dist_pb: DistSpec
-    cash_dist_bs: DistSpec
     n_pb: int = 727
     n_ps: int = 413
     n_bs: int = 225
     ps_holder_frac: float = 1.0
     bs_holder_frac: float = 1.0
+    share_dist_ps: DistSpec
+    share_dist_bs: DistSpec
+    cash_dist_pb: DistSpec
+    cash_dist_bs: DistSpec
     cash_floor: float = 0.0
 
     def validate(self) -> None:
         problems = []
         for name in ("n_pb", "n_ps", "n_bs"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 0):
                 problems.append(f"{name}={v!r} not a nonnegative int")
         for name in ("ps_holder_frac", "bs_holder_frac"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if not (_is_real(v) and 0.0 <= v <= 1.0):
                 problems.append(f"{name}={v!r} not in [0, 1]")
-        if not 0.0 <= self.cash_floor < math.inf:
+        if not (_is_real(self.cash_floor) and 0.0 <= self.cash_floor < math.inf):
             problems.append(f"cash_floor={self.cash_floor!r} not nonnegative and finite")
         if problems:
             raise ConfigError("invalid profile: " + "; ".join(problems))
         for name in ("share_dist_ps", "share_dist_bs", "cash_dist_pb", "cash_dist_bs"):
+            spec = getattr(self, name)
+            if not isinstance(spec, DistSpec):
+                raise ConfigError(f"{name}={spec!r} is not a DistSpec")
             try:
-                getattr(self, name).validate()
+                spec.validate()
             except ConfigError as e:
                 raise ConfigError(f"{name}: {e}") from None
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_pb": self.n_pb,
-            "n_ps": self.n_ps,
-            "n_bs": self.n_bs,
-            "ps_holder_frac": self.ps_holder_frac,
-            "bs_holder_frac": self.bs_holder_frac,
-            "share_dist_ps": self.share_dist_ps.to_json_dict(),
-            "share_dist_bs": self.share_dist_bs.to_json_dict(),
-            "cash_dist_pb": self.cash_dist_pb.to_json_dict(),
-            "cash_dist_bs": self.cash_dist_bs.to_json_dict(),
-            "cash_floor": self.cash_floor,
-        }
+        d = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            d[f.name] = v.to_json_dict() if isinstance(v, DistSpec) else v
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EndowmentProfile":
-        """Parse a profile object; a missing or bad value is a ConfigError
-        naming its key. Counts must be integral."""
-
-        def dist(key: str) -> DistSpec:
-            try:
-                return DistSpec.from_json_dict(d[key])
-            except ConfigError as e:
-                raise ConfigError(f"{key}: {e}") from None
-
-        def number(key: str, default, kind: type = float):
-            return as_number(key, d.get(key, default), kind)
-
-        try:
-            profile = cls(
-                share_dist_ps=dist("share_dist_ps"),
-                share_dist_bs=dist("share_dist_bs"),
-                cash_dist_pb=dist("cash_dist_pb"),
-                cash_dist_bs=dist("cash_dist_bs"),
-                n_pb=number("n_pb", 727, int),
-                n_ps=number("n_ps", 413, int),
-                n_bs=number("n_bs", 225, int),
-                ps_holder_frac=number("ps_holder_frac", 1.0),
-                bs_holder_frac=number("bs_holder_frac", 1.0),
-                cash_floor=number("cash_floor", 0.0),
-            )
-        except KeyError as e:
-            raise ConfigError(f"profile lacks required key {e.args[0]!r}") from None
+        """Parse a profile object, whose keys are the fields. A key left out
+        takes the field's default; the four distributions have none. A
+        missing or bad value is a ConfigError naming its key. Counts must be
+        integral; keys that are not fields, such as "calibration", are ignored."""
+        values = {}
+        for f in fields(cls):
+            if f.default is MISSING:  # a distribution
+                if f.name not in d:
+                    raise ConfigError(f"profile lacks required key {f.name!r}")
+                try:
+                    values[f.name] = DistSpec.from_json_dict(d[f.name])
+                except ConfigError as e:
+                    raise ConfigError(f"{f.name}: {e}") from None
+            else:  # a number, an int when its default is one
+                values[f.name] = as_number(f.name, d.get(f.name, f.default), type(f.default))
+        profile = cls(**values)
         profile.validate()
         return profile
 
 
+@contextlib.contextmanager
 def _open(path: Path, what: str, **kwargs):
-    """`path` opened for reading as UTF-8 text. A failure to open it (a
-    missing file, a directory, a path with a null byte) raises a one-line
-    EndowmentError naming `what` and the path."""
+    """`path` opened for reading as UTF-8 text, for a `with` block. A failure
+    to open it (a missing file, a directory, a path with a null byte) or to
+    decode what the block reads raises a one-line EndowmentError naming
+    `what` and the path."""
     try:
-        return open(path, encoding="utf-8", **kwargs)
+        f = open(path, encoding="utf-8", **kwargs)
     except FileNotFoundError:
         raise EndowmentError(f"{what} not found: {path}") from None
     except (OSError, ValueError) as e:
         reason = getattr(e, "strerror", None) or e
         raise EndowmentError(f"cannot open {what} {str(path)!r}: {reason}") from None
+    with f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            raise EndowmentError(f"{what} {str(path)!r} is not UTF-8 text: {e.reason}") from None
 
 
 def load_profile(path) -> EndowmentProfile:

@@ -28,8 +28,12 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import AgentState, ConfigError, ModelParams, Rng, as_number, as_seed, make_rng
-from .endowments import DistSpec, EndowmentProfile, load_population, simulate_profile_day
+from .core import (
+    AgentState, ConfigError, ModelParams, Rng, as_count, as_number, as_seed, make_rng,
+)
+from .endowments import (
+    _FAMILIES, DistSpec, EndowmentProfile, load_population, simulate_profile_day,
+)
 from .engine import run_day
 from .metrics import METRIC_FIELDS, AggregateMetrics, DayMetrics, aggregate
 
@@ -169,10 +173,7 @@ def run_batch(
     """
     params.validate()
     master_seed = as_seed(master_seed, "master_seed")
-    if reps < 1:
-        raise ConfigError(f"reps={reps} must be at least 1")
-    if jobs < 1:
-        raise ConfigError(f"jobs={jobs} must be at least 1")
+    reps, jobs = as_count(reps, "reps"), as_count(jobs, "jobs")
     resolved = _resolve_source(source)
     jobs = min(jobs, reps)  # a worker beyond one per day would sit idle
     if jobs == 1:
@@ -208,8 +209,7 @@ class SweepSpec:
         self.base_params.validate()
         if not self.values:
             raise ConfigError("sweep has no values")
-        if self.reps < 1:
-            raise ConfigError(f"reps={self.reps} must be at least 1")
+        as_count(self.reps, "reps")
         as_seed(self.master_seed, "master_seed")
         # applying every value up front surfaces bad ones before any
         # simulation has run
@@ -267,8 +267,8 @@ DEFAULT_TARGETS = CalibrationTargets(
 )
 
 # Random-search boxes. Share holdings and cash are explored over lognormal
-# and heavy-tail families; the slot layout is <slot>_{mu,sigma} for the
-# lognormal candidate and <slot>_{shape,scale} for the pareto candidate.
+# and heavy-tail families; a slot's box for a family argument is named
+# <slot>_<argument>, as ps_share_mu or pb_cash_scale.
 # Centers reflect the structure the targets impose: a couple hundred
 # share-holding sellers with skewed stakes, and buyer cash heavy-tailed
 # enough that the few who can afford shares at all can afford several.
@@ -301,45 +301,24 @@ _SLOT_FIELDS = {
 }
 
 
-def _sample_candidate(boxes: dict[str, tuple[float, float]], rng: Rng) -> EndowmentProfile:
-    """One uniform draw from the boxes; each slot also flips its family."""
+def _sample_candidate(rng: Rng) -> EndowmentProfile:
+    """One uniform draw from `DEFAULT_BOXES`: each slot flips its family,
+    then draws that family's arguments in their `_FAMILIES` order; the
+    holder fractions come last."""
 
     def u(name: str) -> float:
-        lo, hi = boxes[name]
+        lo, hi = DEFAULT_BOXES[name]
         return float(rng.uniform(lo, hi))
 
     dists: dict[str, DistSpec] = {}
     for slot, fieldname in _SLOT_FIELDS.items():
-        lognormal = rng.random() < 0.5
-        if lognormal:
-            dists[fieldname] = DistSpec(
-                "lognormal-rounded", {"mu": u(f"{slot}_mu"), "sigma": u(f"{slot}_sigma")}
-            )
-        else:
-            dists[fieldname] = DistSpec(
-                "pareto-rounded", {"shape": u(f"{slot}_shape"), "scale": u(f"{slot}_scale")}
-            )
+        family = "lognormal-rounded" if rng.random() < 0.5 else "pareto-rounded"
+        dists[fieldname] = DistSpec(family, {a: u(f"{slot}_{a}") for a in _FAMILIES[family][0]})
     return EndowmentProfile(
         ps_holder_frac=u("ps_holder_frac"),
         bs_holder_frac=u("bs_holder_frac"),
         **dists,
     )
-
-
-def _check_weights(weights: dict[str, float] | None) -> dict[str, float]:
-    """`weights` as a dict of objective weights, each key a metric of
-    `CalibrationTargets.FIELDS` and each weight a non-negative finite number."""
-    out = {}
-    for name, value in (weights or {}).items():
-        if name not in CalibrationTargets.FIELDS:
-            raise ConfigError(
-                f"unknown weight {name!r}; weights are for {', '.join(CalibrationTargets.FIELDS)}"
-            )
-        x = as_number(f"weight {name}", value)
-        if not (x >= 0.0 and math.isfinite(x)):
-            raise ConfigError(f"weight {name}={value!r} must be non-negative and finite")
-        out[name] = x
-    return out
 
 
 def evaluate_profile(
@@ -348,21 +327,17 @@ def evaluate_profile(
     params: ModelParams,
     reps: int,
     seed: int,
-    weights: dict[str, float] | None = None,
     jobs: int = 1,
 ) -> tuple[float, dict[str, float]]:
     """Mean day metrics of `profile` over a `reps`-day batch at axis
-    position 2, and their weighted squared relative error against `targets`.
+    position 2, and the sum of their squared relative errors against
+    `targets`.
 
     Evaluation seeds depend only on (seed, rep), so different profiles
     evaluated under the same seed share their randomness and compare with
-    less noise. `weights` maps metric names in `CalibrationTargets.FIELDS`
-    to non-negative finite weights (1.0 for a name left out); any other
-    key or weight is a ConfigError. The batch runs on `jobs` worker
-    processes, which does not change the result. Returns (objective, mean
-    metrics dict).
+    less noise. The batch runs on `jobs` worker processes, which does not
+    change the result. Returns (objective, mean metrics dict).
     """
-    w = _check_weights(weights)
     agg = run_batch(params, profile, reps, seed, jobs=jobs, axis_index=2)
     sim = {name: agg.mean(name) for name in CalibrationTargets.FIELDS}
     if sim["liquidity_ratio"] is None:
@@ -370,7 +345,7 @@ def evaluate_profile(
     obj = 0.0
     for name in CalibrationTargets.FIELDS:
         t = getattr(targets, name)
-        obj += w.get(name, 1.0) * ((sim[name] - t) / t) ** 2
+        obj += ((sim[name] - t) / t) ** 2
     return obj, sim
 
 
@@ -381,38 +356,31 @@ def calibrate_profile(
     *,
     params: ModelParams | None = None,
     reps: int = 200,
-    boxes: dict[str, tuple[float, float]] | None = None,
     initial: Sequence[EndowmentProfile] = (),
-    weights: dict[str, float] | None = None,
     progress: Callable[[int, float, float], None] | None = None,
     jobs: int = 1,
 ) -> tuple[EndowmentProfile, float]:
     """Random-search calibration of an endowment profile.
 
     Evaluates `search_budget` candidate profiles (any in `initial` first,
-    then uniform draws from `boxes`) against `targets`, each over `reps`
-    simulated days with common random numbers, and returns the best profile
-    with its achieved objective. Deterministic in (seed, budget, reps); ties
-    keep the earliest candidate. `progress`, if given, is called after each
+    then uniform draws from `DEFAULT_BOXES`) against `targets`, each over
+    `reps` simulated days with common random numbers, and returns the best
+    profile with its achieved objective. Deterministic in (seed, budget,
+    reps); ties keep the earliest candidate. `progress`, if given, is called after each
     candidate with (index, objective, best_so_far). Each candidate's batch
     runs on `jobs` worker processes, which does not change the result.
     """
     targets.validate()
-    if search_budget < 1:
-        raise ConfigError(f"search_budget={search_budget} must be at least 1")
+    search_budget = as_count(search_budget, "search_budget")
     seed = as_seed(seed)
     params = params if params is not None else ModelParams.baseline()
-    boxes = dict(DEFAULT_BOXES if boxes is None else boxes)
-    missing = [k for k in DEFAULT_BOXES if k not in boxes]
-    if missing:
-        raise ConfigError(f"boxes missing entries: {missing}")
 
     cand_rng = make_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     best: EndowmentProfile | None = None
     best_obj = math.inf
     for idx in range(search_budget):
-        candidate = initial[idx] if idx < len(initial) else _sample_candidate(boxes, cand_rng)
-        obj, _ = evaluate_profile(candidate, targets, params, reps, seed, weights, jobs)
+        candidate = initial[idx] if idx < len(initial) else _sample_candidate(cand_rng)
+        obj, _ = evaluate_profile(candidate, targets, params, reps, seed, jobs)
         if obj < best_obj:
             best, best_obj = candidate, obj
         if progress is not None:

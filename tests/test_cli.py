@@ -279,6 +279,32 @@ def test_missing_population_file_exits_1(capsys, tmp_path):
     assert "ghost.csv" in err
 
 
+FILE_FLAGS = {
+    "population": "run --population {bad}",
+    "profile": "run --profile {bad}",
+    "config": "run --config {bad}",
+    "targets": "calibrate --budget 1 --reps 1 --targets {bad} --out {tmp}/p.json",
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FILE_FLAGS))
+def test_a_file_that_is_not_utf8_exits_1_with_one_line(capsys, tmp_path, flag):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"kind,shares,cash\nPB,0,\xff\n" if flag == "population" else b"{\xff}")
+    code, _, err = run_cli(capsys, *FILE_FLAGS[flag].format(bad=bad, tmp=tmp_path).split())
+    assert code == 1
+    assert err.startswith("fracmarket: configuration error: ") and err.count("\n") == 1, err
+    assert f"{str(bad)!r} is not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("flag", ["config", "targets"])
+def test_a_directory_given_as_a_file_exits_1_with_one_line(capsys, tmp_path, flag):
+    code, _, err = run_cli(capsys, *FILE_FLAGS[flag].format(bad=tmp_path, tmp=tmp_path).split())
+    assert code == 1
+    assert err.startswith("fracmarket: configuration error: ") and err.count("\n") == 1, err
+    assert "Is a directory" in err
+
+
 def test_unknown_config_param_exits_1(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"spread": 0.5}}))
@@ -334,6 +360,9 @@ SWEEP = "sweep --reps 2 --population {pop} --param"
         # a command starting with "fracmarket" runs in a child interpreter
         ("fracmarket run --population {pop} --config {cfg}", {"trace": 1}, 1),
         ("fracmarket run --population {pop} --config {cfg}", {"trace": True}, 1),
+        ("batch --reps 1 --config {cfg}",
+         {"profile": {**default_profile().to_json_dict(),
+                      "cash_dist_pb": {"family": "uniform-integer", "lo": 0, "hi": 1e30}}}, 1),
     ],
 )
 def test_bad_input_exits_1_with_one_line(

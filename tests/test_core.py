@@ -364,7 +364,7 @@ def test_search_len_and_iters_must_be_positive_ints():
 
 
 def test_market_range_derivation():
-    p = ModelParams.with_market_range(0.75, 1.10)
+    p = ModelParams().with_ranges_from_market(0.75, 1.10)
     assert (p.ps_price_lo, p.ps_price_hi) == (0.75, 1.05)
     assert (p.bs_price_lo, p.bs_price_hi) == (0.80, 1.10)
     assert (p.market_lo, p.market_hi) == (0.75, 1.10)

@@ -31,7 +31,7 @@ from fracmarket import (
 )
 from fracmarket.endowments import _draw_columns, load_profile, save_profile
 from fracmarket.engine import draw_day, run_pretrading
-from fracmarket.experiments import DEFAULT_BOXES, _sample_candidate
+from fracmarket.experiments import _sample_candidate
 
 from test_reference_day import market_params
 
@@ -62,6 +62,8 @@ def small_profile(**overrides) -> EndowmentProfile:
 def test_unknown_family_rejected():
     with pytest.raises(ConfigError):
         DistSpec("zipf", {"s": 2.0}).validate()
+    with pytest.raises(ConfigError, match=r"unknown distribution family \['constant'\]"):
+        DistSpec(["constant"], {"value": 1.0}).validate()
 
 
 def test_missing_and_extra_args_rejected():
@@ -69,6 +71,38 @@ def test_missing_and_extra_args_rejected():
         DistSpec("lognormal-rounded", {"mu": 1.0}).validate()
     with pytest.raises(ConfigError):
         DistSpec("constant", {"value": 1.0, "x": 2}).validate()
+    with pytest.raises(ConfigError, match="args None not a dict"):
+        DistSpec("constant", None).validate()
+
+
+def test_uniform_integer_bounds_stay_inside_int64():
+    # numpy draws int64; hi = 2**63 - 1 is the largest it can reach
+    top = DistSpec("uniform-integer", {"lo": 2**63 - 1, "hi": 2**63 - 1})
+    top.validate()
+    assert (top.sample(3, make_rng(0)) == float(2**63 - 1)).all()
+    for hi in (2**63, 1e30):
+        with pytest.raises(ConfigError, match=r"uniform-integer bounds \(0, .*\) invalid"):
+            DistSpec("uniform-integer", {"lo": 0, "hi": hi}).validate()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"n_pb": True}, "n_pb=True not a nonnegative int"),
+        ({"ps_holder_frac": "x"}, "ps_holder_frac='x' not in"),
+        ({"bs_holder_frac": None}, "bs_holder_frac=None not in"),
+        ({"cash_floor": "0"}, "cash_floor='0' not nonnegative"),
+        ({"cash_dist_pb": {"family": "constant", "value": 1}}, "cash_dist_pb=.* is not a DistSpec"),
+        ({"share_dist_ps": DistSpec("constant", {"value": "1"})},
+         r"share_dist_ps: distribution 'constant': args \['value'\] not finite numbers"),
+        ({"cash_dist_bs": DistSpec("lognormal-rounded", {"mu": True, "sigma": 1.0})},
+         r"cash_dist_bs: .*args \['mu'\] not finite numbers"),
+    ],
+)
+def test_a_profile_built_in_code_is_type_checked(change, message):
+    with pytest.raises(ConfigError, match=message) as e:
+        small_profile(**change).validate()
+    assert "\n" not in str(e.value)
 
 
 def test_constant_family():
@@ -343,6 +377,14 @@ def test_a_path_that_cannot_be_opened_is_a_one_line_error(load, tmp_path):
         assert repr(path) in msg and "\n" not in msg
 
 
+@pytest.mark.parametrize("load", [load_population, load_profile])
+def test_a_file_that_is_not_utf8_is_a_one_line_error(load, tmp_path):
+    p = tmp_path / "bad"
+    p.write_bytes(b"kind,shares,cash\nPB,0,\xff\n" if load is load_population else b"{\xff}")
+    with pytest.raises(EndowmentError, match=r"'.*bad' is not UTF-8 text: invalid start byte$"):
+        load(p)
+
+
 def test_load_decimal_cash_is_exact(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("kind,shares,cash\nPB,0,10.25\nPB,0,0.1\n")
@@ -451,32 +493,6 @@ def test_calibration_rejects_a_bad_seed(seed):
         calibrate_profile(targets, 1, seed, reps=1)
 
 
-def test_evaluate_profile_rejects_an_unknown_weight():
-    # a misspelt metric must not silently weigh nothing
-    targets = CalibrationTargets(0.1, 1, 1, 1, 1)
-    fields = ", ".join(CalibrationTargets.FIELDS)
-    with pytest.raises(ConfigError, match=rf"unknown weight 'n_trade'; weights are for {fields}"):
-        evaluate_profile(small_profile(), targets, ModelParams.baseline(), 1, 0, weights={"n_trade": 50.0})
-    with pytest.raises(ConfigError, match="unknown weight 'n_trade'"):
-        calibrate_profile(targets, 1, 0, reps=1, weights={"n_trade": 50.0})
-
-
-@pytest.mark.parametrize("weight", [-1.0, math.inf, math.nan, "x", True])
-def test_evaluate_profile_rejects_a_bad_weight(weight):
-    targets = CalibrationTargets(0.1, 1, 1, 1, 1)
-    with pytest.raises(ConfigError, match="weight n_trades="):
-        evaluate_profile(small_profile(), targets, ModelParams.baseline(), 1, 0, weights={"n_trades": weight})
-
-
-def test_evaluate_profile_weights_scale_their_metric():
-    prof = small_profile(n_pb=40, n_ps=20, n_bs=10)
-    targets = CalibrationTargets(0.1, 1, 1, 1, 1)
-    params = ModelParams.baseline()
-    plain, sim = evaluate_profile(prof, targets, params, 3, 0)
-    zeroed, _ = evaluate_profile(prof, targets, params, 3, 0, weights={"n_trades": 0.0})
-    assert zeroed == pytest.approx(plain - (sim["n_trades"] - 1) ** 2)
-
-
 def test_calibrate_warm_start_never_loses_to_no_better_candidate():
     prof = small_profile(n_pb=40, n_ps=20, n_bs=10)
     params = ModelParams.baseline()
@@ -543,4 +559,4 @@ def test_calibrate_rejects_nonpositive_targets():
 def test_sampled_candidates_are_valid_profiles():
     rng = make_rng(21)
     for _ in range(50):
-        _sample_candidate(DEFAULT_BOXES, rng).validate()
+        _sample_candidate(rng).validate()

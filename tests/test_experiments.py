@@ -15,12 +15,14 @@ from test_endowments import profiles
 from test_reference_day import market_params, rosters
 
 from fracmarket import (
+    DEFAULT_TARGETS,
     ConfigError,
     DistSpec,
     EndowmentProfile,
     ModelParams,
     SweepSpec,
     apply_axis,
+    calibrate_profile,
     default_profile,
     experiment_seed,
     run_batch,
@@ -187,6 +189,19 @@ def test_batch_rejects_bad_arguments():
         run_batch(make_params(), tiny_profile(), 1, 0, jobs=0)
     with pytest.raises(ConfigError):
         run_batch(make_params(), [object()], 1, 0)
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.5, "3", None, True])
+def test_every_count_must_be_a_positive_integer(value):
+    params, profile = make_params(), tiny_profile()
+    for name, call in (
+        ("reps", lambda: run_batch(params, profile, value, 0)),
+        ("jobs", lambda: run_batch(params, profile, 1, 0, jobs=value)),
+        ("reps", lambda: SweepSpec("pb_trade_prob", (0.1,), reps=value).validate()),
+        ("search_budget", lambda: calibrate_profile(DEFAULT_TARGETS, value, 0, reps=1)),
+    ):
+        with pytest.raises(ConfigError, match=rf"^{name}={value!r} must be a positive integer$"):
+            call()
 
 
 @pytest.mark.parametrize("sellers_first", [False, True])
