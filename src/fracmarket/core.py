@@ -36,6 +36,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -170,25 +171,46 @@ class AgentState:
 # a kind column holds each agent's kind as its position in this tuple, the
 # block order of a generated population
 KIND_ORDER = (AgentKind.PURE_BUYER, AgentKind.PURE_SELLER, AgentKind.BUYER_SELLER)
+_KIND_CODE = {k: c for c, k in enumerate(KIND_ORDER)}
 
 
 class LazyPopulation(Sequence[AgentState]):
-    """A population held as columns, its agents built on first use.
+    """A population read as columns, its agents built on first use; the
+    engine reads every population in this form (see `of`). Agent `i` has
+    kind `KIND_ORDER[kinds[i]]` and starting cash `cash[i]` (`_float_cash`).
+    `pop[i]` is `build(i)`, made the first time it is asked for, and that
+    same object afterwards. The columns do not follow trades, so a
+    population runs one day."""
 
-    Agent `i` has kind `KIND_ORDER[kinds[i]]`, `shares[i]` shares and cash
-    `cash[i]`, a float. `pop[i]` builds its `AgentState` (id `i`, cash the
-    exact value of the float) the first time it is asked for and returns
-    that same object afterwards, so the engine can read every agent's kind
-    and cash but build only the agents that act.
-    """
+    __slots__ = ("kinds", "cash", "_agents", "_build")
 
-    __slots__ = ("kinds", "shares", "cash", "_agents")
-
-    def __init__(self, kinds: np.ndarray, shares: list[float], cash: np.ndarray) -> None:
-        self.kinds = kinds
-        self.shares = shares
-        self.cash = cash
+    def __init__(self, kinds: np.ndarray, cash: np.ndarray, build) -> None:
+        self.kinds, self.cash, self._build = kinds, cash, build
         self._agents: list[AgentState | None] = [None] * len(kinds)
+
+    @classmethod
+    def of(cls, population: Sequence[AgentState]) -> "LazyPopulation":
+        """`population` itself if lazy; else a view of the roster whose
+        `pop[i]` is its own agent `i`, so a day settles on it in place. A
+        roster's ids must be its positions, or ConfigError is raised."""
+        if isinstance(population, LazyPopulation):
+            return population
+        agents = list(population)
+        for pos, a in enumerate(agents):
+            if not isinstance(a, AgentState):
+                raise ConfigError(f"population roster contains a non-agent: {a!r}")
+            if a.id != pos:
+                raise ConfigError(
+                    f"population roster: agent at position {pos} has id {a.id}; "
+                    "ids must be the list positions 0, 1, 2, ..."
+                )
+        kinds = np.array([_KIND_CODE[a.kind] for a in agents], dtype=np.int8)
+        return cls(kinds, np.array([_float_cash(a) for a in agents]), agents.__getitem__)
+
+    def copy(self) -> "LazyPopulation":
+        """A fresh population from the same starting balances: agent `i` is
+        a copy of `build(i)` made on first use, so a day copies what it touches."""
+        return LazyPopulation(self.kinds, self.cash, partial(_copied, self._build))
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -196,10 +218,21 @@ class LazyPopulation(Sequence[AgentState]):
     def __getitem__(self, i: int) -> AgentState:
         agent = self._agents[i]
         if agent is None:
-            kind = KIND_ORDER[self.kinds[i]]
-            cash = float(self.cash[i])  # stored as its exact integer ratio
-            agent = self._agents[i] = AgentState(i, kind, int(self.shares[i]), cash)
+            agent = self._agents[i] = self._build(i)
         return agent
+
+
+def _copied(build, i: int) -> AgentState:
+    return build(i).copy()
+
+
+def _float_cash(agent: AgentState) -> float:
+    """`float(agent.cash)`, or infinity for cash beyond float range. Integer
+    division rounds correctly, so the unreduced pair gives the same float."""
+    try:
+        return agent.cn / agent.cd
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(slots=True)
@@ -515,24 +548,23 @@ def as_number(name: str, value, kind: type = float) -> float | int:
 
 
 def as_seed(value, name: str = "seed") -> int:
-    """`value` as a master seed: a non-negative integer, a bool excluded.
-
-    The one check for the seeds the library hands to
-    `numpy.random.SeedSequence`, which would reject anything else with a
-    raw ValueError or TypeError. Raises ConfigError naming `name` and the
-    value.
-    """
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0:
-        return int(value)
-    raise ConfigError(f"{name}={value!r} must be a non-negative integer")
+    """`value` as a master seed for `numpy.random.SeedSequence`, which
+    would reject anything else with a raw ValueError or TypeError: a
+    non-negative integer, a bool excluded. Raises ConfigError naming `name`
+    and the value."""
+    return _as_int(value, name, 0, "non-negative")
 
 
 def as_count(value, name: str) -> int:
     """`value` as a count, such as a number of days or workers: a positive
     integer, a bool excluded. Raises ConfigError naming `name` and the value."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1:
+    return _as_int(value, name, 1, "positive")
+
+
+def _as_int(value, name: str, least: int, what: str) -> int:  # as_seed's and as_count's check
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
         return int(value)
-    raise ConfigError(f"{name}={value!r} must be a positive integer")
+    raise ConfigError(f"{name}={value!r} must be a {what} integer")
 
 
 _FLAG_WORDS = {"true": True, "false": False, "1": True, "0": False}

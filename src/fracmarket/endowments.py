@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Sequence
@@ -34,6 +35,7 @@ from .core import (
     AgentState,
     ConfigError,
     EndowmentError,
+    KIND_ORDER,
     LazyPopulation,
     ModelParams,
     Rng,
@@ -306,7 +308,11 @@ def _draw_columns(profile: EndowmentProfile, rng: Rng) -> LazyPopulation:
     cash = np.concatenate((cash_pb, np.zeros(profile.n_ps), cash_bs))
     if not (np.isfinite(shares).all() and np.isfinite(cash).all()):
         raise EndowmentError("profile drew a share holding or cash amount beyond float range")
-    return LazyPopulation(kinds, shares.tolist(), cash)
+    return LazyPopulation(kinds, cash, partial(_column_agent, kinds, shares.tolist(), cash))
+
+
+def _column_agent(kinds: np.ndarray, shares: list[float], cash: np.ndarray, i: int) -> AgentState:
+    return AgentState(i, KIND_ORDER[kinds[i]], int(shares[i]), float(cash[i]))
 
 
 def _share_values(dist: DistSpec, n: int, rng: Rng) -> np.ndarray:

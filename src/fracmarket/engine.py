@@ -48,11 +48,10 @@ again. Float rounding is monotone, so until then the gate rejects it at
 every offer, where its rule would return None and change nothing; its row
 is on the tape already, so skipping the call changes no draw.
 
-The engine reads a population only as every agent's kind, every buyer's
-cash (for the skip) and `population[i]` for the agents that act.
-A `core.LazyPopulation` answers the first two from its columns, so a
-generated day builds an `AgentState` only for the sellers active in
-pre-trading and the buyers active in trading while not inert.
+Every entry reads its population through `core.LazyPopulation.of`, as
+kind and cash columns and `population[i]` for the agents that act. So a
+generated day builds, and a roster batch copies, only the sellers active
+in pre-trading and the buyers active in trading while not inert.
 """
 
 from __future__ import annotations
@@ -77,13 +76,14 @@ from .agents import (
 )
 from .core import (
     AgentKind,
-    KIND_ORDER,
     AgentState,
     LazyPopulation,
     ModelParams,
     Offer,
     OfferBook,
     Rng,
+    _KIND_CODE,
+    _float_cash,
     make_rng,
 )
 from .metrics import DayMetrics, compute_day_metrics
@@ -135,33 +135,20 @@ class Visit:
 @dataclass(frozen=True, slots=True)
 class DayTape:
     """Every draw of one day: the pre-trading visit, then one visit per
-    trading round. `kinds` is the kind column of the population it was
-    drawn for (see `core.KIND_ORDER`)."""
+    trading round."""
 
-    kinds: np.ndarray
     pretrading: Visit
     rounds: list[Visit]
 
 
-# kind codes: positions in KIND_ORDER
-_CODE = {k: c for c, k in enumerate(KIND_ORDER)}
-_PB, _PS = _CODE[AgentKind.PURE_BUYER], _CODE[AgentKind.PURE_SELLER]
+_PB, _PS = _KIND_CODE[AgentKind.PURE_BUYER], _KIND_CODE[AgentKind.PURE_SELLER]
 
 
 def draw_day(population: Sequence[AgentState], params: ModelParams, rng: Rng) -> DayTape:
     """Draw the whole day of `population`, in the order the module
     docstring lists. Reads only the agents' kinds."""
-    kinds = _kind_column(population)
-    return DayTape(
-        kinds, _draw_pretrading(kinds, params, rng), _draw_rounds(kinds, params, rng)
-    )
-
-
-def _kind_column(population: Sequence[AgentState]) -> np.ndarray:
-    """Every agent's kind code, read without building a lazy population's agents."""
-    if isinstance(population, LazyPopulation):
-        return population.kinds
-    return np.array([_CODE[a.kind] for a in population], dtype=np.int8)
+    kinds = LazyPopulation.of(population).kinds
+    return DayTape(_draw_pretrading(kinds, params, rng), _draw_rounds(kinds, params, rng))
 
 
 def _draw_pretrading(kinds: np.ndarray, params: ModelParams, rng: Rng) -> Visit:
@@ -196,29 +183,6 @@ def _gate(offers: Sequence[Offer]) -> float:
     return min(o.price for o in offers) * _GATE - _UNDERFLOW if offers else math.nan
 
 
-def _live_buyers(
-    population: Sequence[AgentState], kinds: np.ndarray, gates: tuple, params: ModelParams
-) -> list[bool]:
-    """Per agent, whether its budget passes its kind's gate in `gates` (pure
-    buyers', buyer-sellers'); only buyers' entries are read."""
-    if isinstance(population, LazyPopulation):
-        cash = population.cash
-    else:
-        cash = np.array([_float_cash(a) for a in population])
-    pure = kinds == _PB
-    ratio = np.where(pure, params.pb_purchase_ratio, params.bs_purchase_ratio)
-    return (ratio * cash >= np.where(pure, *gates)).tolist()
-
-
-def _float_cash(agent: AgentState) -> float:
-    """`float(agent.cash)`, or infinity for cash beyond float range. Integer
-    division rounds correctly, so the unreduced pair gives the same float."""
-    try:
-        return agent.cn / agent.cd
-    except OverflowError:
-        return math.inf
-
-
 def run_pretrading(
     population: Sequence[AgentState], params: ModelParams, draws: DayTape | Rng
 ) -> OfferBook:
@@ -227,10 +191,11 @@ def run_pretrading(
     `draws` is the day's tape, or a generator to draw the pre-trading
     visit from.
     """
+    population = LazyPopulation.of(population)
     if isinstance(draws, DayTape):
         visit = draws.pretrading
     else:
-        visit = _draw_pretrading(_kind_column(population), params, draws)
+        visit = _draw_pretrading(population.kinds, params, draws)
     book = OfferBook()
     for i, u in zip(visit.ids.tolist(), visit.rows.tolist()):
         agent = population[i]
@@ -255,14 +220,17 @@ def run_trading(
     `draws` is the day's tape, or a generator to draw the rounds from.
     Inert buyers are skipped (see the module docstring).
     """
+    population = LazyPopulation.of(population)
     if isinstance(draws, DayTape):
-        kinds, rounds = draws.kinds, draws.rounds
+        rounds = draws.rounds
     else:
-        kinds = _kind_column(population)
-        rounds = _draw_rounds(kinds, params, draws)
+        rounds = _draw_rounds(population.kinds, params, draws)
     offers_entered = [o.copy() for o in book.offers]
     gates = _gate(book.offers), _gate(book.below(params.p_ref))
-    live = _live_buyers(population, kinds, gates, params)
+    # per agent, whether its budget passes its kind's gate (only buyers' are read)
+    pure = population.kinds == _PB
+    ratio = np.where(pure, params.pb_purchase_ratio, params.bs_purchase_ratio)
+    live = (ratio * population.cash >= np.where(pure, *gates)).tolist()
     fills: list[FillEvent] = []
     for it, visit in enumerate(rounds, start=1):
         for i, u in zip(visit.ids.tolist(), visit.rows.tolist()):
@@ -291,12 +259,13 @@ def run_day(
 ) -> tuple[DayTrace, DayMetrics]:
     """Simulate one full day from `seed`, mutating `population` in place.
 
-    `population` is a list of agents or a `core.LazyPopulation`, which
-    builds only the agents that act. Returns the trace and the day metrics.
-    Residual offers are discarded; callers that need the pristine balances
-    must copy before calling.
+    `population` is a roster (a list whose agent at position `i` has id
+    `i`) or a `core.LazyPopulation`, which builds only the agents that act.
+    Returns the trace and the day metrics. Residual offers are discarded;
+    callers that need the pristine balances must copy before calling.
     """
     params.validate()
+    population = LazyPopulation.of(population)
     tape = draw_day(population, params, make_rng(seed))
     book = run_pretrading(population, params, tape)
     book_initial = book.snapshot()

@@ -29,7 +29,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .core import (
-    AgentState, ConfigError, ModelParams, Rng, as_count, as_number, as_seed, make_rng,
+    AgentState, ConfigError, LazyPopulation, ModelParams, Rng,
+    as_count, as_number, as_seed, make_rng,
 )
 from .endowments import (
     _FAMILIES, DistSpec, EndowmentProfile, load_population, simulate_profile_day,
@@ -111,25 +112,17 @@ def apply_axis(base: ModelParams, parameter: str, value) -> ModelParams:
         raise ConfigError(f"sweep value {value!r} for {parameter!r}: {e}") from None
 
 
-def _resolve_source(source: PopulationSource) -> EndowmentProfile | list[AgentState]:
+def _resolve_source(source: PopulationSource) -> EndowmentProfile | LazyPopulation:
+    """A profile as it is; a roster, or a CSV file's, as the view each day copies."""
     if isinstance(source, EndowmentProfile):
         return source
     if isinstance(source, (str, Path)):
-        return load_population(source)
-    roster = list(source)
-    for pos, a in enumerate(roster):
-        if not isinstance(a, AgentState):
-            raise ConfigError(f"population roster contains a non-agent: {a!r}")
-        if a.id != pos:
-            raise ConfigError(
-                f"population roster: agent at position {pos} has id {a.id}; "
-                "ids must be the list positions 0, 1, 2, ..."
-            )
-    return roster
+        source = load_population(source)
+    return LazyPopulation.of(source)
 
 
 def _one_experiment(
-    resolved: EndowmentProfile | list[AgentState],
+    resolved: EndowmentProfile | LazyPopulation,
     params: ModelParams,
     master_seed: int,
     axis_index: int,
@@ -138,8 +131,7 @@ def _one_experiment(
     ss = experiment_seed(master_seed, axis_index, rep)
     if isinstance(resolved, EndowmentProfile):
         return simulate_profile_day(resolved, params, ss)
-    population = [a.copy() for a in resolved]
-    _, day = run_day(population, params, ss)
+    _, day = run_day(resolved.copy(), params, ss)
     return day
 
 

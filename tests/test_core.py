@@ -18,8 +18,9 @@ from fracmarket import (
     make_rng,
     run_day,
 )
+from fracmarket.core import LazyPopulation
 
-from conftest import make_agent, make_offer, make_params
+from conftest import make_agent, make_offer, make_params, make_population
 
 
 def test_insert_into_empty_book():
@@ -267,6 +268,19 @@ def test_agent_state_pickles(protocol):
     b = pickle.loads(pickle.dumps([a], protocol))[0]
     assert type(b) is AgentState and b == a
     assert (b.id, b.kind, b.shares, b.cn, b.cd) == (a.id, a.kind, a.shares, a.cn, a.cd)
+
+
+def test_a_roster_view_is_the_roster_and_its_copy_copies_on_first_use():
+    roster = make_population(n_pb=2, n_ps=1, n_bs=1)
+    view = LazyPopulation.of(roster)
+    assert LazyPopulation.of(view) is view
+    assert all(view[i] is a for i, a in enumerate(roster))
+    assert view.kinds.tolist() == [0, 0, 1, 2]
+    assert view.cash.tolist() == [100.0, 100.0, 0.0, 100.0]
+    # a pool's workers may receive the view pickled
+    day = pickle.loads(pickle.dumps(view)).copy()
+    assert day[3] == roster[3] and day[3] is not roster[3] and day[3] is day[3]
+    assert day._agents.count(None) == 3
 
 
 def test_agent_kind_roles():

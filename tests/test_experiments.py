@@ -26,6 +26,7 @@ from fracmarket import (
     default_profile,
     experiment_seed,
     run_batch,
+    run_day,
     run_sweep,
     save_population,
     simulate_profile_day,
@@ -204,16 +205,49 @@ def test_every_count_must_be_a_positive_integer(value):
             call()
 
 
+# every entry that takes a roster checks it the same way
+_ROSTER_RUNS = {
+    "run_batch": lambda params, roster: run_batch(params, roster, 3, 0),
+    "run_day": lambda params, roster: run_day(roster, params, 0),
+}
+
+
+@pytest.mark.parametrize("run", _ROSTER_RUNS.values(), ids=_ROSTER_RUNS.keys())
 @pytest.mark.parametrize("sellers_first", [False, True])
-def test_batch_rejects_roster_ids_that_are_not_positions(sellers_first):
+def test_batch_rejects_roster_ids_that_are_not_positions(sellers_first, run):
     buyers, sellers = make_population(n_pb=20), make_population(n_ps=20)
     roster = sellers + buyers if sellers_first else buyers + sellers
     for pos, agent in enumerate(roster):
         agent.id = 10 + pos  # ids 10..49, not list positions
     params = make_params(ps_offer_prob=0.9, pb_trade_prob=0.9)
     with pytest.raises(ConfigError, match="position 0 has id 10") as exc:
-        run_batch(params, roster, 3, 0)
+        run(params, roster)
     assert "\n" not in str(exc.value)
+    with pytest.raises(ConfigError, match="^population roster contains a non-agent: 'x'$"):
+        run(params, ["x"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    params=market_params(),
+    roster=rosters(),
+    reps=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+)
+def test_roster_batch_matches_days_on_full_copies(params, roster, reps, seed):
+    # a batch copies an agent only when its day first touches it; the
+    # reference copies the whole roster every day
+    before = [a.copy() for a in roster]
+    want = aggregate(
+        [
+            run_day([a.copy() for a in roster], params, experiment_seed(seed, 0, r))[1]
+            for r in range(reps)
+        ]
+    )
+    got = run_batch(params, roster, reps, seed)
+    # compared as JSON, where an undefined mean (NaN) equals itself
+    assert json.dumps(got.to_record()) == json.dumps(want.to_record())
+    assert roster == before
 
 
 # --- sweep axes -------------------------------------------------------------
