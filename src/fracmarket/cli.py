@@ -32,7 +32,7 @@ from .core import (
     ConfigError, EndowmentError, MarketError, ModelParams, as_number, as_seed, make_rng,
 )
 from .endowments import (
-    EndowmentProfile, _open, _profile_streams, default_profile, generate_population,
+    EndowmentProfile, _open, _profile_day, default_profile, generate_population,
     load_population, load_profile, save_population, save_profile,
 )
 from .engine import export_trace, run_day
@@ -277,9 +277,7 @@ def _cmd_run(get) -> int:
     params, source, seed = get("params"), _source(get), get("seed")
     trace_path, out, fmt = get("trace"), get("out"), get("format")
     if isinstance(source, EndowmentProfile):
-        gen_ss, day_ss = _profile_streams(seed)
-        population = generate_population(source, make_rng(gen_ss))
-        trace, day = run_day(population, params, day_ss)
+        trace, day = _profile_day(source, params, seed)
     else:
         trace, day = run_day(source, params, seed)
     if trace_path is not None:

@@ -180,13 +180,14 @@ class LazyPopulation(Sequence[AgentState]):
     kind `KIND_ORDER[kinds[i]]` and starting cash `cash[i]` (`_float_cash`).
     `pop[i]` is `build(i)`, made the first time it is asked for, and that
     same object afterwards. The columns do not follow trades, so a
-    population runs one day."""
+    population runs one day (`start_trading`)."""
 
-    __slots__ = ("kinds", "cash", "_agents", "_build")
+    __slots__ = ("kinds", "cash", "_agents", "_build", "_traded")
 
     def __init__(self, kinds: np.ndarray, cash: np.ndarray, build) -> None:
         self.kinds, self.cash, self._build = kinds, cash, build
         self._agents: list[AgentState | None] = [None] * len(kinds)
+        self._traded = False
 
     @classmethod
     def of(cls, population: Sequence[AgentState]) -> "LazyPopulation":
@@ -211,6 +212,14 @@ class LazyPopulation(Sequence[AgentState]):
         """A fresh population from the same starting balances: agent `i` is
         a copy of `build(i)` made on first use, so a day copies what it touches."""
         return LazyPopulation(self.kinds, self.cash, partial(_copied, self._build))
+
+    def start_trading(self) -> None:
+        """Mark the population's one trading run. A second raises
+        ContractViolation before anything settles: it would read the
+        first day's starting cash from the columns."""
+        if self._traded:
+            raise ContractViolation("a population runs one day; run the next on list(population)")
+        self._traded = True
 
     def __len__(self) -> int:
         return len(self.kinds)

@@ -44,7 +44,7 @@ from .core import (
     as_seed,
     make_rng,
 )
-from .engine import run_day
+from .engine import DayTrace, run_day
 from .metrics import DayMetrics
 
 __all__ = [
@@ -411,25 +411,29 @@ def simulate_profile_day(
     params: ModelParams,
     seed: int | np.random.SeedSequence,
 ) -> DayMetrics:
-    """Generate a fresh population from `profile` and run one day.
+    """Generate a fresh population from `profile` and run one day; returns
+    the day metrics of `_profile_day`."""
+    return _profile_day(profile, params, seed)[1]
 
-    The seed is split into a generation stream and a day stream (see
-    `_profile_streams`), so the whole experiment is pinned by one seed.
-    The day equals `run_day` on `generate_population` from the same two
-    streams, but the population stays in columns and only the agents that
-    act are built (see the `engine` docstring).
+
+def _profile_day(
+    profile: EndowmentProfile,
+    params: ModelParams,
+    seed: int | np.random.SeedSequence,
+) -> tuple[DayTrace, DayMetrics]:
+    """`run_day` on a population drawn from `profile`: the trace and metrics.
+
+    `seed` is split into its children 0 and 1, the generation and day
+    streams, so one seed pins the whole experiment. They are the first two
+    children a fresh sequence spawns, but `seed` does not advance, so one
+    sequence always gives one day. The day equals `run_day` on
+    `generate_population` from the same two streams, but the population
+    stays in columns and only the agents that act are built (see the
+    `engine` docstring).
     """
-    gen_ss, day_ss = _profile_streams(seed)
-    _, day = run_day(_draw_columns(profile, make_rng(gen_ss)), params, day_ss)
-    return day
-
-
-def _profile_streams(seed: int | np.random.SeedSequence) -> tuple[np.random.SeedSequence, ...]:
-    """Children 0 and 1 of `seed`: a profile day's generation and day streams.
-    They are the first two children a fresh sequence spawns, but `seed` does
-    not advance, so one sequence always gives one day."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(as_seed(seed))
-    return tuple(
+    gen_ss, day_ss = (
         np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size)
         for i in (0, 1)
     )
+    return run_day(_draw_columns(profile, make_rng(gen_ss)), params, day_ss)

@@ -14,9 +14,9 @@ A day runs in two phases over a fresh, empty book:
 Offers still live after the last round are deleted; nothing carries over to
 the next day.
 
-The day's tape: a day draws all its randomness before anything trades
-(`draw_day`), from one generator, visit by visit: the pre-trading visit,
-then one visit per trading round. A visit makes three draws and no others:
+The draws: each phase draws its visits from the day's one generator as it
+runs, the pre-trading visit first, then one visit as each trading round
+starts. A visit makes three draws and no others:
 
 1. a permutation of its agents;
 2. one uniform per visit position; the agent at a position is active when
@@ -27,13 +27,11 @@ then one visit per trading round. A visit makes three draws and no others:
    pure buyer's pick and acceptance, and room for a buyer-seller's search,
    which never has more candidates than there are sellers.
 
-The tape keeps each visit's active agent ids in visit order and its block.
 Each active agent's rule is handed its row and reads it as listed in
 `agents`; the rules draw nothing themselves. So the draws of a day depend
 only on the population's kinds, the activation probabilities and W, never
-on the book or on balances, and drawing them all first takes the same
-values in the same order as drawing each visit when it runs. The rules are
-called for active agents only: activation is decided here and nowhere else.
+on the book or on balances. The rules are called for active agents only:
+activation is decided here and nowhere else.
 
 Inert buyers: once pre-trading has filled the book, the trading rounds
 call a buyer's rule only while its budget passes `agents._budget_fill`'s
@@ -46,7 +44,7 @@ pre-trading, so no offer a buyer could pick is ever below its bound, and
 its cash rises only when it sells, after which the engine checks its gate
 again. Float rounding is monotone, so until then the gate rejects it at
 every offer, where its rule would return None and change nothing; its row
-is on the tape already, so skipping the call changes no draw.
+was drawn with its visit, so skipping the call changes no draw.
 
 Every entry reads its population through `core.LazyPopulation.of`, as
 kind and cash columns and `population[i]` for the agents that act. So a
@@ -89,10 +87,8 @@ from .core import (
 from .metrics import DayMetrics, compute_day_metrics
 
 __all__ = [
-    "DayTape",
     "DayTrace",
     "FillEvent",
-    "draw_day",
     "export_trace",
     "replay_fills",
     "run_day",
@@ -123,58 +119,21 @@ class DayTrace:
     fills: list[FillEvent]
 
 
-@dataclass(frozen=True, slots=True)
-class Visit:
-    """One visit on a day's tape: the ids of the agents it activates, in
-    visit order, and its block of uniforms, one row per active agent."""
-
-    ids: np.ndarray
-    rows: np.ndarray
-
-
-@dataclass(frozen=True, slots=True)
-class DayTape:
-    """Every draw of one day: the pre-trading visit, then one visit per
-    trading round."""
-
-    pretrading: Visit
-    rounds: list[Visit]
-
-
 _PB, _PS = _KIND_CODE[AgentKind.PURE_BUYER], _KIND_CODE[AgentKind.PURE_SELLER]
 
 
-def draw_day(population: Sequence[AgentState], params: ModelParams, rng: Rng) -> DayTape:
-    """Draw the whole day of `population`, in the order the module
-    docstring lists. Reads only the agents' kinds."""
-    kinds = LazyPopulation.of(population).kinds
-    return DayTape(_draw_pretrading(kinds, params, rng), _draw_rounds(kinds, params, rng))
-
-
-def _draw_pretrading(kinds: np.ndarray, params: ModelParams, rng: Rng) -> Visit:
-    sellers = np.flatnonzero(kinds != _PB)
-    probs = np.where(kinds[sellers] == _PS, params.ps_offer_prob, params.bs_offer_prob)
-    return _draw_visit(sellers, probs, 1, rng)
-
-
-def _draw_rounds(kinds: np.ndarray, params: ModelParams, rng: Rng) -> list[Visit]:
-    buyers = np.flatnonzero(kinds != _PS)
-    probs = np.where(kinds[buyers] == _PB, params.pb_trade_prob, params.bs_trade_prob)
-    n_sellers = len(kinds) - int(np.count_nonzero(kinds == _PB))
-    width = max(2, min(params.bs_search_len, n_sellers))
-    return [_draw_visit(buyers, probs, width, rng) for _ in range(params.n_trading_iters)]
-
-
-def _draw_visit(ids: np.ndarray, probs: np.ndarray, width: int, rng: Rng) -> Visit:
+def _draw_visit(
+    ids: np.ndarray, probs: np.ndarray, width: int, rng: Rng
+) -> tuple[list[int], list[list[float]]]:
     """Visit the agents `ids` once each in a uniformly random order,
     activating the agent at each position with its probability in `probs`,
-    and draw a row of `width` uniforms per active agent. Draws nothing when
-    `ids` is empty."""
+    and draw a row of `width` uniforms per active agent. Returns the active
+    ids in visit order and their rows; draws nothing when `ids` is empty."""
     if not len(ids):
-        return Visit(ids, np.empty((0, width)))
+        return [], []
     order = rng.permutation(len(ids))
     active = ids[order[rng.random(len(ids)) < probs[order]]]
-    return Visit(active, rng.random((len(active), width)))
+    return active.tolist(), rng.random((len(active), width)).tolist()
 
 
 def _gate(offers: Sequence[Offer]) -> float:
@@ -183,21 +142,15 @@ def _gate(offers: Sequence[Offer]) -> float:
     return min(o.price for o in offers) * _GATE - _UNDERFLOW if offers else math.nan
 
 
-def run_pretrading(
-    population: Sequence[AgentState], params: ModelParams, draws: DayTape | Rng
-) -> OfferBook:
-    """Visit each seller once in random order; return the resulting book.
-
-    `draws` is the day's tape, or a generator to draw the pre-trading
-    visit from.
-    """
+def run_pretrading(population: Sequence[AgentState], params: ModelParams, rng: Rng) -> OfferBook:
+    """Visit each seller once in random order, drawn from `rng`; return
+    the resulting book."""
     population = LazyPopulation.of(population)
-    if isinstance(draws, DayTape):
-        visit = draws.pretrading
-    else:
-        visit = _draw_pretrading(population.kinds, params, draws)
+    kinds = population.kinds
+    sellers = np.flatnonzero(kinds != _PB)
+    probs = np.where(kinds[sellers] == _PS, params.ps_offer_prob, params.bs_offer_prob)
     book = OfferBook()
-    for i, u in zip(visit.ids.tolist(), visit.rows.tolist()):
+    for i, u in zip(*_draw_visit(sellers, probs, 1, rng)):
         agent = population[i]
         if agent.kind is AgentKind.PURE_SELLER:
             offer = ps_decide(agent, params, u)
@@ -209,31 +162,29 @@ def run_pretrading(
 
 
 def run_trading(
-    population: Sequence[AgentState],
-    book: OfferBook,
-    params: ModelParams,
-    draws: DayTape | Rng,
+    population: Sequence[AgentState], book: OfferBook, params: ModelParams, rng: Rng
 ) -> DayTrace:
-    """Run the trading rounds against a start-of-day book, settling fills
-    in place on `population` and `book`. Returns the day's trace.
+    """Run the trading rounds against a start-of-day book, each round's
+    visit drawn from `rng` as it starts, settling fills in place on
+    `population` and `book`. Returns the day's trace.
 
-    `draws` is the day's tape, or a generator to draw the rounds from.
-    Inert buyers are skipped (see the module docstring).
+    Inert buyers are skipped (see the module docstring). A
+    `core.LazyPopulation` trades once; a second run is a ContractViolation.
     """
     population = LazyPopulation.of(population)
-    if isinstance(draws, DayTape):
-        rounds = draws.rounds
-    else:
-        rounds = _draw_rounds(population.kinds, params, draws)
+    population.start_trading()
+    pure = population.kinds == _PB
+    buyers = np.flatnonzero(population.kinds != _PS)
+    probs = np.where(pure[buyers], params.pb_trade_prob, params.bs_trade_prob)
+    width = max(2, min(params.bs_search_len, len(pure) - int(np.count_nonzero(pure))))
     offers_entered = [o.copy() for o in book.offers]
     gates = _gate(book.offers), _gate(book.below(params.p_ref))
     # per agent, whether its budget passes its kind's gate (only buyers' are read)
-    pure = population.kinds == _PB
     ratio = np.where(pure, params.pb_purchase_ratio, params.bs_purchase_ratio)
     live = (ratio * population.cash >= np.where(pure, *gates)).tolist()
     fills: list[FillEvent] = []
-    for it, visit in enumerate(rounds, start=1):
-        for i, u in zip(visit.ids.tolist(), visit.rows.tolist()):
+    for it in range(1, params.n_trading_iters + 1):
+        for i, u in zip(*_draw_visit(buyers, probs, width, rng)):
             if not live[i]:
                 continue
             agent = population[i]
@@ -260,16 +211,17 @@ def run_day(
     """Simulate one full day from `seed`, mutating `population` in place.
 
     `population` is a roster (a list whose agent at position `i` has id
-    `i`) or a `core.LazyPopulation`, which builds only the agents that act.
-    Returns the trace and the day metrics. Residual offers are discarded;
-    callers that need the pristine balances must copy before calling.
+    `i`) or a `core.LazyPopulation`, which builds only the agents that act
+    and runs one day. Returns the trace and the day metrics. Residual
+    offers are discarded; callers that need the pristine balances must
+    copy before calling.
     """
     params.validate()
     population = LazyPopulation.of(population)
-    tape = draw_day(population, params, make_rng(seed))
-    book = run_pretrading(population, params, tape)
+    rng = make_rng(seed)
+    book = run_pretrading(population, params, rng)
     book_initial = book.snapshot()
-    trace = run_trading(population, book, params, tape)
+    trace = run_trading(population, book, params, rng)
     return trace, compute_day_metrics(trace, book_initial, params)
 
 

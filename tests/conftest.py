@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import accumulate
 
+import fracmarket.engine as engine
 from fracmarket import AgentKind, AgentState, ModelParams, Offer
 
 
@@ -37,3 +38,20 @@ def traded_by_round(trace, n_rounds: int) -> list[int]:
     for ev in trace.fills:
         per_round[ev.iteration - 1] += ev.fill.units
     return list(accumulate(per_round))
+
+
+def drawn_visits(monkeypatch, run):
+    """Call `run()`, recording every visit the engine draws as (active ids,
+    rows): visit 0 is pre-trading and visit r trading round r. Returns the
+    visits and what `run()` returned."""
+    visits = []
+    draw = engine._draw_visit
+
+    def recording(*args):
+        visits.append(draw(*args))
+        return visits[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_draw_visit", recording)
+        out = run()
+    return visits, out

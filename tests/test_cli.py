@@ -12,6 +12,7 @@ import warnings
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,10 @@ from fracmarket import (
     METRIC_FIELDS,
     ModelParams,
     default_profile,
+    generate_population,
     load_population,
+    make_rng,
+    run_day,
     save_population,
     simulate_profile_day,
     sweep_axes,
@@ -66,12 +70,25 @@ def test_run_stdout_is_deterministic(capsys):
         assert name in out1
 
 
-def test_run_prints_the_profile_day_of_its_seed(capsys):
+def test_run_prints_the_profile_day_of_its_seed(capsys, tmp_path):
     # `run` splits its seed as simulate_profile_day does: generation stream
-    # first, day stream second
+    # first, day stream second; its trace holds the fills of run_day on the
+    # whole population generated from the first stream
     for seed in (0, 7):
-        code, out, _ = run_cli(capsys, "run", "--seed", str(seed))
+        trace_path = tmp_path / f"fills{seed}.ndjson"
+        code, out, _ = run_cli(capsys, "run", "--seed", str(seed), "--trace", str(trace_path))
         assert code == 0
+        gen_ss, day_ss = np.random.SeedSequence(seed).spawn(2)
+        population = generate_population(default_profile(), make_rng(gen_ss))
+        trace, _ = run_day(population, ModelParams.baseline(), day_ss)
+        fills = [
+            {"iteration": ev.iteration, "buyer": f.buyer, "seller": f.seller,
+             "price": f.price, "units": f.units, "notional": float(f.notional)}
+            for ev in trace.fills
+            for f in (ev.fill,)
+        ]
+        assert fills  # otherwise the comparison is vacuous
+        assert [json.loads(line) for line in trace_path.read_text().splitlines()] == fills
         day = simulate_profile_day(default_profile(), ModelParams.baseline(), seed)
         want = [
             f"{name} {getattr(day, name):.3f}" if getattr(day, name) is not None

@@ -15,6 +15,7 @@ from fracmarket import (
     DEFAULT_TARGETS,
     CalibrationTargets,
     ConfigError,
+    ContractViolation,
     DistSpec,
     EndowmentError,
     EndowmentProfile,
@@ -30,9 +31,11 @@ from fracmarket import (
     simulate_profile_day,
 )
 from fracmarket.endowments import _draw_columns, load_profile, save_profile
-from fracmarket.engine import draw_day, run_pretrading
+from fracmarket.engine import run_pretrading
 from fracmarket.experiments import _sample_candidate
 
+from conftest import drawn_visits
+from reference_day import reference_day
 from test_reference_day import market_params
 
 PS = AgentKind.PURE_SELLER
@@ -267,7 +270,7 @@ def test_profile_day_equals_a_built_population_day(profile, params, seed):
     assert simulate_profile_day(profile, params, seed) == want
 
 
-def test_profile_day_builds_only_the_agents_that_act():
+def test_profile_day_builds_only_the_agents_that_act(monkeypatch):
     # the sellers active in pre-trading and the buyers active in trading
     # whose budget passes the gate at the cheapest offer they could be
     # shown (for a buyer-seller, the cheapest below p_ref); a few hundred
@@ -277,8 +280,7 @@ def test_profile_day_builds_only_the_agents_that_act():
     gen_ss, day_ss = np.random.SeedSequence(8).spawn(2)
     lazy = _draw_columns(profile, make_rng(gen_ss))
     full = generate_population(profile, make_rng(gen_ss))
-    tape = draw_day(lazy, params, make_rng(day_ss))
-    book = run_pretrading(full, params, tape)
+    book = run_pretrading(full, params, make_rng(day_ss))
 
     def gate(prices):
         return min(prices) * (1.0 - 1e-9) - 1e-300
@@ -287,16 +289,38 @@ def test_profile_day_builds_only_the_agents_that_act():
         PB: (params.pb_purchase_ratio, gate(o.price for o in book.offers)),
         BS: (params.bs_purchase_ratio, gate(o.price for o in book.offers if o.price < params.p_ref)),
     }
-    acting = set(tape.pretrading.ids.tolist()) | {
+    (pretrading, *rounds), _ = drawn_visits(monkeypatch, lambda: run_day(lazy, params, day_ss))
+    acting = set(pretrading[0]) | {
         i
-        for v in tape.rounds
-        for i in v.ids.tolist()
+        for ids, _ in rounds
+        for i in ids
         if bounds[full[i].kind][0] * float(full[i].cash) >= bounds[full[i].kind][1]
     }
-    run_day(lazy, params, day_ss)
     built = {i for i, a in enumerate(lazy._agents) if a is not None}
     assert built == acting
     assert len(built) < len(lazy) / 4
+
+
+def test_a_lazy_population_runs_one_day():
+    # the columns keep the starting cash, so a second day on the same lazy
+    # population would skip buyers by the first day's balances: it is a
+    # ContractViolation before anything settles. A roster runs day after
+    # day, each on a fresh view of its current balances
+    profile, params = default_profile(), ModelParams.baseline()
+    lazy = _draw_columns(profile, make_rng(4))
+    roster = generate_population(profile, make_rng(4))
+    assert run_day(lazy, params, 1) == run_day(roster, params, 1)
+    after = [(a.shares, a.cash) for a in roster]
+    assert [(a.shares, a.cash) for a in lazy] == after
+    with pytest.raises(ContractViolation, match="^a population runs one day"):
+        run_day(lazy, params, 2)
+    assert [(a.shares, a.cash) for a in lazy] == after
+    want = reference_day(roster, params, 2)
+    _, day = run_day(roster, params, 2)
+    assert want["balances"] != after  # day 2 trades
+    assert [(a.shares, a.cash) for a in roster] == want["balances"]
+    assert day == want["metrics"]
+    assert run_day(list(lazy), params, 2)[1] == day
 
 
 def test_a_profile_draw_beyond_float_range_is_an_endowment_error():

@@ -20,7 +20,7 @@ from fracmarket import (
 )
 
 import fracmarket.engine as engine
-from conftest import make_agent, make_params, make_population, traded_by_round
+from conftest import drawn_visits, make_agent, make_params, make_population, traded_by_round
 from reference_day import reference_day
 
 PS = AgentKind.PURE_SELLER
@@ -118,22 +118,10 @@ def test_run_day_calls_the_rules_through_the_engine(monkeypatch):
     assert calls["pb_decide"] == 10 * params.n_trading_iters
 
 
-def _drawn_tape(monkeypatch, pop, params, seed):
-    # run one day, recording the tape it draws; returns every visit as
-    # (active ids, rows), visit 0 being pre-trading and visit r trading
-    # round r, together with the day's fills
-    tapes = []
-
-    def recording(*args):
-        tapes.append(draw(*args))
-        return tapes[-1]
-
-    with monkeypatch.context() as m:
-        draw = engine.draw_day
-        m.setattr(engine, "draw_day", recording)
-        trace, _ = run_day(pop, params, seed)
-    (tape,) = tapes
-    visits = [(v.ids.tolist(), v.rows.tolist()) for v in (tape.pretrading, *tape.rounds)]
+def _drawn_day(monkeypatch, pop, params, seed):
+    # run one day, recording the visits it draws (`drawn_visits`),
+    # together with the day's fills
+    visits, (trace, _) = drawn_visits(monkeypatch, lambda: run_day(pop, params, seed))
     return visits, [(ev.iteration, ev.fill) for ev in trace.fills]
 
 
@@ -142,7 +130,7 @@ def _drawn_tape(monkeypatch, pop, params, seed):
 )
 def test_who_acts_when_does_not_depend_on_the_book(monkeypatch, change):
     # the parameters changed here move fills, the book and balances, but
-    # not a single draw: every day draws the same tape, the same agents
+    # not a single draw: every day draws the same visits, the same agents
     # active in the same visits in the same order, with the same rows
     base = make_params(
         ps_offer_prob=0.6, bs_offer_prob=0.6, pb_trade_prob=0.5,
@@ -151,8 +139,8 @@ def test_who_acts_when_does_not_depend_on_the_book(monkeypatch, change):
     fills_differ = []
     for seed in range(4):
         pops = [make_population(n_pb=40, n_ps=20, n_bs=15, shares=12, cash=90) for _ in range(2)]
-        tape, fills = _drawn_tape(monkeypatch, pops[0], base, seed)
-        tape_b, fills_b = _drawn_tape(monkeypatch, pops[1], base.replace(**change), seed)
+        tape, fills = _drawn_day(monkeypatch, pops[0], base, seed)
+        tape_b, fills_b = _drawn_day(monkeypatch, pops[1], base.replace(**change), seed)
         assert tape_b == tape
         assert len(tape) == base.n_trading_iters + 1 and all(ids for ids, _ in tape)
         fills_differ.append(fills_b != fills)
