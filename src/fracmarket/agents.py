@@ -31,12 +31,13 @@ and rates as `float.as_integer_ratio` gives them, exactly. Every guard is
 an integer cross-product, and `_credit` adds an amount `n / d` to a
 balance with a multiply and an add, rescaling `cd` to the least common
 multiple only when `d` does not divide it. A price's denominator and the
-fee rate's are powers of two, so after the first few fills `cd` is
-already a multiple of them; it never exceeds the starting denominator
-times the largest price denominator times the fee rate's, however long an
-agent trades. A fill records its price, units and the buyer's budget as
-an unreduced integer pair; `notional` and `purchase_budget` build their
-Fractions only when read.
+fee rate's are powers of two, so `cd` keeps the odd part of the agent's
+starting denominator and its power of two never exceeds the largest seen:
+`cd` stays below the starting denominator times the largest price
+denominator times the fee rate's, however long an agent trades. A fill
+records its price, units and the buyer's budget as an unreduced integer
+pair; `notional` and `purchase_budget` build their Fractions only when
+read.
 
 Before the exact budget test, a float gate rejects a buyer whose budget
 `ratio * float(cash)` falls short of the offer's price by more than a

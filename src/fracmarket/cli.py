@@ -32,13 +32,13 @@ from .core import (
     ConfigError, EndowmentError, MarketError, ModelParams, as_number, as_seed, make_rng,
 )
 from .endowments import (
-    EndowmentProfile, _open, _profile_day, default_profile, generate_population,
+    EndowmentProfile, _json_object, _profile_day, default_profile, generate_population,
     load_population, load_profile, save_population, save_profile,
 )
 from .engine import export_trace, run_day
 from .experiments import (
-    DEFAULT_TARGETS, CalibrationTargets, SweepSpec, calibrate_profile, run_batch, run_sweep,
-    write_sweep_csv, write_sweep_json,
+    DEFAULT_TARGETS, CalibrationTargets, SweepSpec, _sweep_values, calibrate_profile, run_batch,
+    run_sweep, write_sweep_csv, write_sweep_json,
 )
 from .metrics import METRIC_FIELDS
 
@@ -47,21 +47,6 @@ class _Parser(argparse.ArgumentParser):
     # bad flags are a configuration problem, keep them on exit status 1
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _load_config(path: Path | None, what: str = "config") -> dict:
-    """The JSON object in the file at `path` ({} for no path); `what` names
-    the file in error messages."""
-    if path is None:
-        return {}
-    try:
-        with _open(path, f"{what} file") as f:
-            cfg = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{what} file {path} must hold a JSON object")
-    return cfg
 
 
 # Readers: `read(name, raw)` turns a flag's text or a config value into the
@@ -108,7 +93,7 @@ def _profile(name: str, raw) -> EndowmentProfile:
 
 def _targets(name: str, raw) -> CalibrationTargets:
     path = _path(name, raw)
-    doc = _load_config(path, "targets")
+    doc = _json_object(path, "targets file")
     try:
         return CalibrationTargets(**{k: as_number(k, doc[k]) for k in CalibrationTargets.FIELDS})
     except KeyError as e:
@@ -128,28 +113,13 @@ def _params(name: str, overrides) -> ModelParams:
 
 def _sweep_items(name: str, raw) -> list:
     """A JSON list (a pair as a two-item list), or comma-separated text (a
-    pair as ``lo:hi``). `_sweep_values` reads text items for the axis."""
+    pair as ``lo:hi``). `experiments._sweep_values` reads the text items."""
     items = raw
     if isinstance(raw, str):
         items = [s.split(":", 1) if ":" in s else s for s in map(str.strip, raw.split(",")) if s]
     if not (isinstance(items, list) and items):
         raise ConfigError(f"{name}={raw!r} must be a non-empty list of sweep values")
     return items
-
-
-def _sweep_values(parameter: str, items: list) -> tuple:
-    """Text items read as the axis reads numbers (ModelParams.coerce for a
-    field, a float for a composite axis), pairs as tuples; `apply_axis`
-    checks the rest."""
-
-    def number(item):
-        if not isinstance(item, str):
-            return item
-        if parameter in ModelParams.field_names():
-            return ModelParams.coerce(parameter, item)
-        return as_number(parameter, item)
-
-    return tuple(tuple(map(number, v)) if isinstance(v, list) else number(v) for v in items)
 
 
 class _Setting(NamedTuple):
@@ -380,7 +350,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(_read(args, {}, "config"))
+        path = _read(args, {}, "config")
+        cfg = {} if path is None else _json_object(path, "config file")
         return _COMMANDS[args.command][0](partial(_read, args, cfg))
     except (ConfigError, EndowmentError) as e:
         code, kind, error = 1, "configuration error", e

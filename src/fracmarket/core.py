@@ -9,19 +9,10 @@ end of a trading day are deleted, so no order state survives across days.
 Cash is exact: every binary float is a dyadic rational and converts
 without loss, which lets conservation checks use equality instead of
 tolerances. An agent holds its cash as two plain integers, `cn / cd`, not
-necessarily in lowest terms, and settlement updates them with integer
-multiplies and adds (`agents._credit`); a `fractions.Fraction` is built
-only when `agent.cash` is read. Offer prices stay ordinary floats and enter
-the arithmetic through `float.as_integer_ratio`, so their denominators,
-and the exit fee rate's, are powers of two. A credit rescales `cd` only
-when the amount's denominator does not divide it, to their least common
-multiple; so `cd` keeps the odd part of the agent's starting denominator
-and its power of two never exceeds the largest seen, and stays below the
-starting denominator times the largest price denominator times the fee
-rate's, however many days an agent trades. Only the budget check first
-looks at floats: it skips the exact test when the float budget is below
-the price by more than a relative 1e-9, far beyond float rounding (about
-2e-16), so it never rejects an affordable share; see `agents`.
+necessarily in lowest terms; a `fractions.Fraction` is built only when
+`agent.cash` is read. The `agents` docstring sets out how settlement
+updates the pair, why `cd` stays bounded however long an agent trades,
+and why the float gate before the exact budget test changes no result.
 """
 
 from __future__ import annotations
@@ -452,12 +443,12 @@ class ModelParams:
             "exit_fee_rate",
         ):
             v = getattr(self, name)
-            if not _is_real(v) or not 0.0 <= v <= 1.0:
+            if not _is_number(v) or not 0.0 <= v <= 1.0:
                 problems.append(f"{name}={v!r} not in [0, 1]")
-        p_ref_ok = _is_real(self.p_ref) and 0 < self.p_ref < math.inf
+        p_ref_ok = _is_number(self.p_ref) and 0 < self.p_ref < math.inf
         if not p_ref_ok:
             problems.append(f"p_ref={self.p_ref!r} not positive and finite")
-        if not (_is_real(self.k_pb) and math.isfinite(self.k_pb)):
+        if not (_is_number(self.k_pb) and math.isfinite(self.k_pb)):
             problems.append(f"k_pb={self.k_pb!r} not finite")
         # zero-width bounds (lo == hi) are legal so degenerate price draws
         # can be scripted in tests. The two price bands price offers from
@@ -468,7 +459,7 @@ class ModelParams:
             ("market_lo", "market_hi", False),
         ):
             lo, hi = getattr(self, lo_name), getattr(self, hi_name)
-            if not (_is_real(lo) and _is_real(hi)):
+            if not (_is_number(lo) and _is_number(hi)):
                 problems.append(f"{lo_name}/{hi_name} not numeric")
             elif not (0.0 < lo <= hi < math.inf):
                 problems.append(
@@ -481,10 +472,12 @@ class ModelParams:
                     f"({lo_name}, {hi_name}) * p_ref=({lo * self.p_ref}, {hi * self.p_ref})"
                     " must be positive and finite"
                 )
-        for name in ("bs_search_len", "n_trading_iters"):
+        for name, kind in _FIELD_TYPES.items():
             v = getattr(self, name)
-            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
+            if kind is int and not (_is_number(v, int) and v >= 1):
                 problems.append(f"{name}={v!r} not a positive int")
+            elif kind is bool and not isinstance(v, (bool, np.bool_)):
+                problems.append(f"{name}={v!r} not a bool")
         if problems:
             raise ConfigError("invalid parameters: " + "; ".join(problems))
 
@@ -507,7 +500,8 @@ class ModelParams:
             if isinstance(value, str):
                 flag = _FLAG_WORDS.get(value.strip().lower())
             else:
-                flag = bool(value) if isinstance(value, numbers.Real) and value in (0, 1) else None
+                number = isinstance(value, (numbers.Real, np.bool_))
+                flag = bool(value) if number and value in (0, 1) else None
             if flag is None:
                 raise ConfigError(f"{name}={value!r} is not a flag (true, false, 0 or 1)")
             return flag
@@ -524,11 +518,13 @@ class ModelParams:
         return tuple(f.name for f in fields(ModelParams))
 
 
-def _is_real(value) -> bool:
-    """An int or float parameter value; a bool is an int to isinstance but
-    not a number here. A plain float, the common case, is settled by the
-    cheap exact-type test: a profile day validates its profile."""
-    return type(value) is float or isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_number(value, kind: type = float) -> bool:
+    """The one test for a number: an integer (numpy's included) or, for
+    `kind=float`, a float; never a bool. The exact-type test settles the
+    common case cheaply, as every day validates its parameters."""
+    if type(value) is kind:
+        return True
+    return isinstance(value, (numbers.Integral, kind)) and not isinstance(value, bool)
 
 
 def as_number(name: str, value, kind: type = float) -> float | int:
@@ -536,7 +532,7 @@ def as_number(name: str, value, kind: type = float) -> float | int:
 
     The one reader for numbers given as text or loosely typed JSON: model
     parameters, profile fields and command-line settings. It takes a number
-    or a numeric string; an integer must be integral, never truncated.
+    (`_is_number`) or a numeric string; an integer must be integral, never truncated.
     Anything else, a bool included, raises ConfigError naming `name` and
     the value. Ranges are left to the caller.
     """
@@ -544,7 +540,7 @@ def as_number(name: str, value, kind: type = float) -> float | int:
         with contextlib.suppress(ValueError):
             return int(value)  # exact where float() would round, as for a seed of 2**60
     x = None
-    if isinstance(value, (str, numbers.Real)) and not isinstance(value, bool):
+    if isinstance(value, str) or _is_number(value):
         with contextlib.suppress(ValueError, OverflowError):
             x = float(value)
     if x is None:
@@ -571,7 +567,7 @@ def as_count(value, name: str) -> int:
 
 
 def _as_int(value, name: str, least: int, what: str) -> int:  # as_seed's and as_count's check
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
+    if _is_number(value, int) and value >= least:
         return int(value)
     raise ConfigError(f"{name}={value!r} must be a {what} integer")
 

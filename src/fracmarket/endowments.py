@@ -39,7 +39,7 @@ from .core import (
     LazyPopulation,
     ModelParams,
     Rng,
-    _is_real,
+    _is_number,
     as_number,
     as_seed,
     make_rng,
@@ -113,7 +113,7 @@ class DistSpec:
                 f"distribution {self.family!r}: missing args {missing}, unexpected {extra}"
             )
         a = self.args
-        bad = [k for k, v in a.items() if not (_is_real(v) and math.isfinite(v))]
+        bad = [k for k, v in a.items() if not (_is_number(v) and math.isfinite(v))]
         if bad:
             raise ConfigError(f"distribution {self.family!r}: args {bad} not finite numbers")
         if self.family == "constant" and a["value"] < 0:
@@ -171,21 +171,23 @@ class EndowmentProfile:
     cash_floor: float = 0.0
 
     def validate(self) -> None:
-        problems = []
-        for name in ("n_pb", "n_ps", "n_bs"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 0):
-                problems.append(f"{name}={v!r} not a nonnegative int")
-        for name in ("ps_holder_frac", "bs_holder_frac"):
-            v = getattr(self, name)
-            if not (_is_real(v) and 0.0 <= v <= 1.0):
-                problems.append(f"{name}={v!r} not in [0, 1]")
-        if not (_is_real(self.cash_floor) and 0.0 <= self.cash_floor < math.inf):
-            problems.append(f"cash_floor={self.cash_floor!r} not nonnegative and finite")
+        """Raise ConfigError listing every bad number, else naming the first bad distribution."""
+        problems, dists = [], []
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.default is MISSING:  # a distribution, as in from_json_dict
+                dists.append((f.name, v))
+            elif type(f.default) is int:
+                if not (_is_number(v, int) and v >= 0):
+                    problems.append(f"{f.name}={v!r} not a nonnegative int")
+            elif f.name == "cash_floor":
+                if not (_is_number(v) and 0.0 <= v < math.inf):
+                    problems.append(f"cash_floor={v!r} not nonnegative and finite")
+            elif not (_is_number(v) and 0.0 <= v <= 1.0):  # a holder fraction
+                problems.append(f"{f.name}={v!r} not in [0, 1]")
         if problems:
             raise ConfigError("invalid profile: " + "; ".join(problems))
-        for name in ("share_dist_ps", "share_dist_bs", "cash_dist_pb", "cash_dist_bs"):
-            spec = getattr(self, name)
+        for name, spec in dists:
             if not isinstance(spec, DistSpec):
                 raise ConfigError(f"{name}={spec!r} is not a DistSpec")
             try:
@@ -242,16 +244,21 @@ def _open(path: Path, what: str, **kwargs):
             raise EndowmentError(f"{what} {str(path)!r} is not UTF-8 text: {e.reason}") from None
 
 
-def load_profile(path) -> EndowmentProfile:
-    p = Path(path)
+def _json_object(path, what: str) -> dict:
+    """The JSON object in a profile, config or targets file; else a one-line
+    EndowmentError naming `what` (as "config file") and the path."""
     try:
-        with _open(p, "profile file") as f:
+        with _open(path, what) as f:
             d = json.load(f)
     except json.JSONDecodeError as e:
-        raise EndowmentError(f"profile file {p} is not valid JSON: {e}") from None
+        raise EndowmentError(f"{what} {path} is not valid JSON: {e}") from None
     if not isinstance(d, dict):
-        raise EndowmentError(f"profile file {p} must hold a JSON object")
-    return EndowmentProfile.from_json_dict(d)
+        raise EndowmentError(f"{what} {path} must hold a JSON object")
+    return d
+
+
+def load_profile(path) -> EndowmentProfile:
+    return EndowmentProfile.from_json_dict(_json_object(Path(path), "profile file"))
 
 
 DEFAULT_PROFILE_RESOURCE = "default_profile.json"
@@ -376,25 +383,15 @@ def load_population(path) -> list[AgentState]:
 
 
 def _decimal_str(x: Fraction) -> str:
-    """Exact decimal rendering when the denominator allows one."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    d = x.denominator
-    twos = fives = 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d != 1:
-        return repr(float(x))  # no finite decimal form, best effort
-    k = max(twos, fives)
-    digits = abs(x.numerator) * 10**k // x.denominator
-    s = str(digits).rjust(k + 1, "0")
-    out = s[:-k] + "." + s[-k:] if k else s
-    out = out.rstrip("0").rstrip(".")
-    return "-" + out if x < 0 else out
+    """`x` as an exact decimal when its denominator allows one, else as
+    `n/d`; `load_population` reads both exactly."""
+    n, d = x.numerator, x.denominator
+    k = d.bit_length()  # places enough for any d that divides a power of ten
+    if 10**k % d:
+        return str(x)
+    s = str(abs(n) * 10**k // d).rjust(k + 1, "0")
+    s = (s[:-k] + "." + s[-k:]).rstrip("0").rstrip(".")
+    return "-" + s if n < 0 else s
 
 
 def save_population(population: Sequence[AgentState], path) -> None:

@@ -18,6 +18,7 @@ in repetition order, so aggregate output is identical for any ``jobs`` value.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -30,7 +31,7 @@ import numpy as np
 
 from .core import (
     AgentState, ConfigError, LazyPopulation, ModelParams, Rng,
-    as_count, as_number, as_seed, make_rng,
+    _is_number, as_count, as_number, as_seed, make_rng,
 )
 from .endowments import (
     _FAMILIES, DistSpec, EndowmentProfile, load_population, simulate_profile_day,
@@ -80,36 +81,51 @@ def apply_axis(base: ModelParams, parameter: str, value) -> ModelParams:
     Composite axes: ``market_range`` takes a (lo, hi) pair; ``market_width``
     resizes the envelope around its current midpoint; ``market_midpoint``
     recenters it at its current width. All three re-derive the per-kind
-    price bounds. A field axis converts `value` with ModelParams.coerce.
-    Raises ConfigError naming the value if the result is not a valid
-    parameter set.
+    price bounds. Each number is read by `_axis_number`. Raises ConfigError
+    naming the value if the result is not a valid parameter set.
     """
     try:
         if parameter == "market_range":
             try:
-                lo, hi = (float(x) for x in value)
-            except (TypeError, ValueError, OverflowError):
+                lo, hi = (_axis_number(parameter, x) for x in value)
+            except (TypeError, ValueError, ConfigError):
                 raise ConfigError(
-                    f"market_range value {value!r} must be a (lo, hi) pair"
+                    f"market_range value {value!r} must be a (lo, hi) pair of numbers"
                 ) from None
             return base.with_ranges_from_market(lo, hi)
-        if parameter in _COMPOSITE_AXES:
-            try:
-                x = float(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"{parameter}={value!r} is not a number") from None
-            if parameter == "market_width":
-                mid, w = (base.market_lo + base.market_hi) / 2.0, x
-            else:
-                mid, w = x, base.market_hi - base.market_lo
-            return base.with_ranges_from_market(mid - w / 2.0, mid + w / 2.0)
-        if parameter not in ModelParams.field_names():
-            raise ConfigError(
-                f"unknown sweep parameter {parameter!r}; valid axes: {', '.join(sweep_axes())}"
-            )
-        return base.replace(**{parameter: ModelParams.coerce(parameter, value)})
+        x = _axis_number(parameter, value)
+        if parameter not in _COMPOSITE_AXES:
+            return base.replace(**{parameter: x})
+        lo, hi = base.market_lo, base.market_hi
+        mid, w = ((lo + hi) / 2.0, x) if parameter == "market_width" else (x, hi - lo)
+        return base.with_ranges_from_market(mid - w / 2.0, mid + w / 2.0)
     except ConfigError as e:
         raise ConfigError(f"sweep value {value!r} for {parameter!r}: {e}") from None
+
+
+def _axis_number(parameter: str, x):
+    """One number of `parameter`'s axis: a field's read by ModelParams.coerce,
+    a composite axis's by `as_number`, so a bool is one only for a flag."""
+    if parameter in _COMPOSITE_AXES:
+        return as_number(parameter, x)
+    if parameter in ModelParams.field_names():
+        return ModelParams.coerce(parameter, x)
+    axes = ", ".join(sweep_axes())
+    raise ConfigError(f"unknown sweep parameter {parameter!r}; valid axes: {axes}")
+
+
+def _sweep_values(parameter: str, items: list) -> tuple:
+    """Sweep values from a config list or split text: a text item that
+    `_axis_number` reads becomes its number, a list a tuple of its items so
+    read; the rest stay as given, for `apply_axis` to read or reject."""
+
+    def read(item):
+        if isinstance(item, str):
+            with contextlib.suppress(ConfigError):
+                return _axis_number(parameter, item)
+        return item
+
+    return tuple(tuple(map(read, v)) if isinstance(v, list) else read(v) for v in items)
 
 
 def _resolve_source(source: PopulationSource) -> EndowmentProfile | LazyPopulation:
@@ -244,8 +260,7 @@ class CalibrationTargets:
     def validate(self) -> None:
         for name in self.FIELDS:
             v = getattr(self, name)
-            x = as_number(f"target {name}", v)
-            if isinstance(v, str) or not (x > 0 and math.isfinite(x)):
+            if not (_is_number(v) and 0 < v < math.inf):
                 raise ConfigError(f"target {name}={v!r} must be a positive finite number")
 
 

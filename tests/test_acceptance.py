@@ -8,7 +8,8 @@ variables trim or parallelize them:
 * FRACMARKET_ACCEPT_REPS: repetitions per batch (below 1000 the
   monotonicity checks switch from strict ordering of means to sign plus
   two-standard-error significance on adjacent differences)
-* FRACMARKET_ACCEPT_JOBS: worker processes for batches
+* FRACMARKET_ACCEPT_JOBS: worker processes for batches; default two, or
+  one on a one-core machine. Aggregates do not depend on it.
 """
 
 import math
@@ -34,7 +35,7 @@ from fracmarket import (
 from conftest import traded_by_round
 
 ACCEPT_REPS = int(os.environ.get("FRACMARKET_ACCEPT_REPS", "1000"))
-ACCEPT_JOBS = int(os.environ.get("FRACMARKET_ACCEPT_JOBS", "1"))
+ACCEPT_JOBS = int(os.environ.get("FRACMARKET_ACCEPT_JOBS", min(2, os.cpu_count() or 1)))
 
 PB = AgentKind.PURE_BUYER
 PS = AgentKind.PURE_SELLER

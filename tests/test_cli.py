@@ -367,6 +367,13 @@ SWEEP = "sweep --reps 2 --population {pop} --param"
         ("sweep --reps 2 --population {pop} --config {cfg}", {"sweep": 5}, 1),
         ("sweep --reps 2 --population {pop} --config {cfg}",
          {"sweep": {"parameter": "pb_trade_prob", "values": 5}}, 1),
+        # a JSON true or false is not a number on a composite axis either
+        ("sweep --reps 2 --population {pop} --config {cfg}",
+         {"sweep": {"parameter": "market_width", "values": [True]}}, 1),
+        ("sweep --reps 2 --population {pop} --config {cfg}",
+         {"sweep": {"parameter": "market_midpoint", "values": [0.9, True]}}, 1),
+        ("sweep --reps 2 --population {pop} --config {cfg}",
+         {"sweep": {"parameter": "market_range", "values": [[True, 1.2]]}}, 1),
         ("run --config {cfg}", {"population": 5}, 1),
         ("sweep --config {cfg}", {"population": "\0"}, 1),
         ("run --population {pop} --config {cfg} --out {tmp}/day.out", {"format": "xml"}, 1),
@@ -403,6 +410,26 @@ def test_bad_input_exits_1_with_one_line(
     else:
         assert err.startswith("fracmarket: configuration error: ")
         assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("run --config {f}", '{"seed": 1,}', "config file {f} is not valid JSON: Expecting"),
+        ("run --config {f}", "[1]", "config file {f} must hold a JSON object"),
+        ("calibrate --budget 1 --reps 1 --targets {f} --out {f}.out", '"x"',
+         "targets file {f} must hold a JSON object"),
+        ("calibrate --budget 1 --reps 1 --targets {f} --out {f}.out",
+         '{"liquidity_ratio": 0.1, "n_offers": 60}', "targets file lacks 'n_trades'"),
+    ],
+)
+def test_a_bad_json_file_exits_1_naming_the_problem(capsys, tmp_path, command, text, message):
+    f = tmp_path / "in.json"
+    f.write_text(text)
+    code, _, err = run_cli(capsys, *command.format(f=f).split())
+    assert code == 1
+    assert err.startswith(f"fracmarket: configuration error: {message.format(f=f)}"), err
+    assert err.count("\n") == 1, err
 
 
 def test_config_flag_words_parse():

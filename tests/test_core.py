@@ -4,6 +4,7 @@ import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -377,6 +378,26 @@ def test_search_len_and_iters_must_be_positive_ints():
         make_params(n_trading_iters=True).validate()
 
 
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+def test_debit_exit_fee_must_be_a_bool(flag):
+    # a string is truthy: "false" would debit the fee
+    message = rf"^invalid parameters: debit_exit_fee={flag!r} not a bool$"
+    with pytest.raises(ConfigError, match=message):
+        make_params(debit_exit_fee=flag).validate()
+    for ok in (True, False, np.bool_(True)):
+        make_params(debit_exit_fee=ok).validate()
+
+
+def test_numpy_integers_are_int_field_values():
+    roster = make_population(30, 15, 8)
+    ints = make_params(bs_search_len=2, n_trading_iters=5, bs_trade_prob=0.5)
+    numpy_ints = ints.replace(bs_search_len=np.int64(2), n_trading_iters=np.int32(5))
+    trace, day = run_day(roster, numpy_ints, 4)
+    assert trace.fills and (trace, day) == run_day(make_population(30, 15, 8), ints, 4)
+    with pytest.raises(ConfigError, match="bs_search_len=.*0.* not a positive int"):
+        make_params(bs_search_len=np.int64(0)).validate()
+
+
 def test_market_range_derivation():
     p = ModelParams().with_ranges_from_market(0.75, 1.10)
     assert (p.ps_price_lo, p.ps_price_hi) == (0.75, 1.05)
@@ -408,6 +429,7 @@ def test_coerce_converts_to_the_field_type():
     for text, flag in (("true", True), (" FALSE ", False), ("1", True), ("0", False)):
         assert ModelParams.coerce("debit_exit_fee", text) is flag
     assert ModelParams.coerce("debit_exit_fee", 1) is True
+    assert ModelParams.coerce("debit_exit_fee", np.bool_(False)) is False
 
 
 @pytest.mark.parametrize(

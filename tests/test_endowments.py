@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -100,12 +101,29 @@ def test_uniform_integer_bounds_stay_inside_int64():
          r"share_dist_ps: distribution 'constant': args \['value'\] not finite numbers"),
         ({"cash_dist_bs": DistSpec("lognormal-rounded", {"mu": True, "sigma": 1.0})},
          r"cash_dist_bs: .*args \['mu'\] not finite numbers"),
+        ({"cash_dist_pb": DistSpec("lognormal-rounded", {"mu": 1.0, "sigma": -0.5})},
+         r"^cash_dist_pb: lognormal sigma -0\.5 negative$"),
+        ({"share_dist_ps": DistSpec("pareto-rounded", {"shape": 0, "scale": 10.0})},
+         r"^share_dist_ps: pareto shape/scale \(0, 10\.0\) invalid$"),
+        ({"share_dist_bs": DistSpec("pareto-rounded", {"shape": 1.5, "scale": -1})},
+         r"^share_dist_bs: pareto shape/scale \(1\.5, -1\) invalid$"),
     ],
 )
 def test_a_profile_built_in_code_is_type_checked(change, message):
     with pytest.raises(ConfigError, match=message) as e:
         small_profile(**change).validate()
     assert "\n" not in str(e.value)
+
+
+def test_numpy_integer_counts_draw_the_same_population():
+    cash = DistSpec("uniform-integer", {"lo": 0, "hi": 500})
+    profile = small_profile(
+        n_pb=np.int64(20), n_ps=np.int32(10), n_bs=np.int64(6), cash_dist_pb=cash
+    )
+    plain = small_profile(n_pb=20, n_ps=10, n_bs=6, cash_dist_pb=cash)
+    assert generate_population(profile, make_rng(5)) == generate_population(plain, make_rng(5))
+    params = ModelParams.baseline()
+    assert simulate_profile_day(profile, params, 5) == simulate_profile_day(plain, params, 5)
 
 
 def test_constant_family():
@@ -363,6 +381,19 @@ def test_round_trip_preserves_dyadic_cash(tmp_path):
     assert loaded[0].cash == a.cash
 
 
+def test_a_cash_with_no_finite_decimal_round_trips(tmp_path):
+    from conftest import make_agent
+
+    cash = [Fraction(1, 3), Fraction(200, 7), Fraction(1, 5), Fraction(41, 4), Fraction(3)]
+    pop = [make_agent(i, PB, 0, c) for i, c in enumerate(cash)]
+    path = tmp_path / "endow.csv"
+    save_population(pop, path)
+    assert path.read_text().splitlines()[1:] == [
+        "PB,0,1/3", "PB,0,200/7", "PB,0,0.2", "PB,0,10.25", "PB,0,3"
+    ]
+    assert load_population(path) == pop
+
+
 def test_load_rejects_bad_header(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("kind,shares\nPS,1\n")
@@ -384,6 +415,46 @@ def test_load_names_offending_row(tmp_path):
     p.write_text("kind,shares,cash\nPB,0.5,1\n")
     with pytest.raises(EndowmentError, match="row 1"):
         load_population(p)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty file, expected header kind,shares,cash"),
+        ("kind,shares,cash\nPB,0\n", "row 1: expected 3 fields, got 2"),
+        ("kind,shares,cash\nPB,0,1\nPS,1,0,0\n", "row 2: expected 3 fields, got 4"),
+        ("kind,shares,cash\nPB,0,ten\n", "row 1: cash 'ten' not a decimal"),
+        ("kind,shares,cash\nPB,0,1/0\n", "row 1: cash '1/0' not a decimal"),
+    ],
+)
+def test_a_bad_population_file_is_a_one_line_error(tmp_path, text, message):
+    p = tmp_path / "x.csv"
+    p.write_text(text)
+    with pytest.raises(EndowmentError, match="^" + re.escape(f"{p}: {message}") + "$"):
+        load_population(p)
+
+
+def test_load_skips_blank_lines(tmp_path):
+    p = tmp_path / "x.csv"
+    p.write_text("kind,shares,cash\n\nPB,0,5\n  \nPS,3,0\n\n")
+    assert [(a.id, a.kind, a.shares, a.cash) for a in load_population(p)] == [
+        (0, PB, 0, 5), (1, PS, 3, 0)
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{", r"is not valid JSON: Expecting property name enclosed in double quotes"),
+        ("[1, 2]", r"must hold a JSON object$"),
+    ],
+)
+def test_a_profile_file_that_holds_no_json_object_is_a_one_line_error(tmp_path, text, message):
+    p = tmp_path / "prof.json"
+    p.write_text(text)
+    with pytest.raises(EndowmentError, match="^" + re.escape(f"profile file {p} ") + message) as e:
+        load_profile(p)
+    assert "\n" not in str(e.value)
 
 
 def test_load_missing_file_names_path(tmp_path):

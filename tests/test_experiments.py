@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -296,6 +297,15 @@ def test_apply_axis_bad_value_names_value():
         apply_axis(make_params(), "market_range", ("lo", "hi"))
     with pytest.raises(ConfigError, match="'abc' is not a number"):
         apply_axis(make_params(), "market_width", "abc")
+
+
+@pytest.mark.parametrize("axis", [a for a in sweep_axes() if a != "debit_exit_fee"])
+def test_a_bool_is_a_number_on_no_axis(axis):
+    # float(True) is 1.0, but a bool is not a width, midpoint or bound of 1
+    value = (True, 1.2) if axis == "market_range" else True
+    prefix = re.escape(f"sweep value {value!r} for '{axis}': ")
+    with pytest.raises(ConfigError, match="^" + prefix):
+        apply_axis(make_params(), axis, value)
 
 
 def test_apply_axis_integer_fields():
