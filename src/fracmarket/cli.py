@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from collections.abc import Callable
 from dataclasses import asdict
@@ -37,7 +38,7 @@ from .endowments import (
 )
 from .engine import export_trace, run_day
 from .experiments import (
-    DEFAULT_TARGETS, CalibrationTargets, SweepSpec, _sweep_values, calibrate_profile, run_batch,
+    DEFAULT_TARGETS, CalibrationTargets, SweepSpec, calibrate_profile, run_batch,
     run_sweep, write_sweep_csv, write_sweep_json,
 )
 from .metrics import METRIC_FIELDS
@@ -111,22 +112,12 @@ def _params(name: str, overrides) -> ModelParams:
     return ModelParams().replace(**{k: ModelParams.coerce(k, v) for k, v in overrides.items()})
 
 
-def _sweep_items(name: str, raw) -> list:
-    """A JSON list (a pair as a two-item list), or comma-separated text (a
-    pair as ``lo:hi``). `experiments._sweep_values` reads the text items."""
-    items = raw
-    if isinstance(raw, str):
-        items = [s.split(":", 1) if ":" in s else s for s in map(str.strip, raw.split(",")) if s]
-    if not (isinstance(items, list) and items):
-        raise ConfigError(f"{name}={raw!r} must be a non-empty list of sweep values")
-    return items
-
-
 class _Setting(NamedTuple):
     """`defaults` maps each subcommand that reads the setting to its default
     (`_NEEDED`: none, the setting must be given). `key` is the config key,
     dotted inside an object, or None for a flag-only setting. A setting
-    without a reader is an on/off flag."""
+    without a reader is taken as given, to be read where it is used (as
+    SweepSpec reads sweep values); one whose default is False is an on/off flag."""
 
     read: Callable[[str, object], object] | None
     defaults: dict
@@ -157,7 +148,7 @@ _SETTINGS = {
     "profile": _Setting(_profile, _on(f"{_SIM} gen-endowments"), "profile", "profile JSON"),
     "trace": _Setting(_path, _on("run"), "trace", "write per-fill trace (JSON lines)"),
     "param": _Setting(_text, _on("sweep", _NEEDED), "sweep.parameter", "axis, e.g. market_width"),
-    "values": _Setting(_sweep_items, _on("sweep", _NEEDED), "sweep.values", "a,b,c or lo:hi,..."),
+    "values": _Setting(None, _on("sweep", _NEEDED), "sweep.values", "a,b,c or lo:hi,..."),
     "reps": _Setting(_integer, _REPS, "reps", "days per batch, sweep value or candidate"),
     "jobs": _Setting(_integer, _on("batch sweep calibrate", 1), "jobs", "worker processes"),
     "targets": _Setting(_targets, _on("calibrate", DEFAULT_TARGETS), "targets", "targets JSON"),
@@ -207,7 +198,7 @@ def _build_parser() -> _Parser:
                     " (required)" if default is _NEEDED
                     else f" (default {default})" if type(default) in (int, str) else ""
                 )
-                switch = {"action": "store_true", "default": None} if s.read is None else {}
+                switch = {"action": "store_true", "default": None} if default is False else {}
                 sp.add_argument(f"--{name}", help=text, **switch)
     return p
 
@@ -279,11 +270,9 @@ def _cmd_batch(get) -> int:
 def _cmd_sweep(get) -> int:
     params, source, seed = get("params"), _source(get), get("seed")
     reps, jobs, out, fmt = get("reps"), get("jobs"), get("out"), get("format")
-    parameter = get("param")
-    values = _sweep_values(parameter, get("values"))
-    spec = SweepSpec(parameter, values, reps=reps, master_seed=seed, base_params=params)
+    spec = SweepSpec(get("param"), get("values"), reps=reps, master_seed=seed, base_params=params)
     results = run_sweep(spec, source, jobs=jobs)
-    print(f"sweep {parameter} ({reps} reps per value)")
+    print(f"sweep {spec.parameter} ({reps} reps per value)")
     for value, agg in results:
         lr = _fmt3(agg.mean("liquidity_ratio"))
         print(
@@ -303,7 +292,10 @@ def _cmd_gen_endowments(get) -> int:
     population = generate_population(profile, make_rng(seed))
     save_population(population, out)
     total_shares = sum(a.shares for a in population)
-    total_cash = float(sum(a.cash for a in population))
+    try:
+        total_cash = float(sum(a.cash for a in population))
+    except OverflowError:
+        total_cash = math.inf
     print(f"wrote {len(population)} agents to {out}")
     print(f"total shares {total_shares}, total cash {total_cash:.2f}")
     return 0

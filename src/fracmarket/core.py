@@ -21,6 +21,7 @@ import contextlib
 import math
 import operator
 import numbers
+import sys
 import typing
 from bisect import bisect_left
 from collections.abc import Sequence
@@ -519,12 +520,15 @@ class ModelParams:
 
 
 def _is_number(value, kind: type = float) -> bool:
-    """The one test for a number: an integer (numpy's included) or, for
-    `kind=float`, a float; never a bool. The exact-type test settles the
-    common case cheaply, as every day validates its parameters."""
+    """The one test for a number: an integer (numpy's included; for
+    `kind=float` only within float range, so arithmetic on it cannot
+    overflow) or, for `kind=float`, a float; never a bool. The exact-type
+    test settles the common case cheaply, as every day validates its parameters."""
     if type(value) is kind:
         return True
-    return isinstance(value, (numbers.Integral, kind)) and not isinstance(value, bool)
+    if isinstance(value, numbers.Integral):
+        return not isinstance(value, bool) and (kind is int or abs(value) <= sys.float_info.max)
+    return isinstance(value, kind)
 
 
 def as_number(name: str, value, kind: type = float) -> float | int:
@@ -541,7 +545,7 @@ def as_number(name: str, value, kind: type = float) -> float | int:
             return int(value)  # exact where float() would round, as for a seed of 2**60
     x = None
     if isinstance(value, str) or _is_number(value):
-        with contextlib.suppress(ValueError, OverflowError):
+        with contextlib.suppress(ValueError):
             x = float(value)
     if x is None:
         raise ConfigError(f"{name}={value!r} is not a number")

@@ -114,20 +114,6 @@ def _axis_number(parameter: str, x):
     raise ConfigError(f"unknown sweep parameter {parameter!r}; valid axes: {axes}")
 
 
-def _sweep_values(parameter: str, items: list) -> tuple:
-    """Sweep values from a config list or split text: a text item that
-    `_axis_number` reads becomes its number, a list a tuple of its items so
-    read; the rest stay as given, for `apply_axis` to read or reject."""
-
-    def read(item):
-        if isinstance(item, str):
-            with contextlib.suppress(ConfigError):
-                return _axis_number(parameter, item)
-        return item
-
-    return tuple(tuple(map(read, v)) if isinstance(v, list) else read(v) for v in items)
-
-
 def _resolve_source(source: PopulationSource) -> EndowmentProfile | LazyPopulation:
     """A profile as it is; a roster, or a CSV file's, as the view each day copies."""
     if isinstance(source, EndowmentProfile):
@@ -202,7 +188,13 @@ def run_batch(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-dimensional sweep: `parameter` takes each of `values` in turn."""
+    """One-dimensional sweep: `parameter` takes each of `values` in turn.
+
+    `values` is a list or tuple, or text ``a,b,c`` with pairs as ``lo:hi``
+    as ``fracmarket sweep --values`` takes it. A text item `_axis_number`
+    reads becomes its number, an inner list or tuple a tuple of its items so
+    read; the rest stay as given, for `apply_axis` to read or reject.
+    """
 
     parameter: str
     values: tuple
@@ -211,18 +203,32 @@ class SweepSpec:
     base_params: ModelParams = field(default_factory=ModelParams)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        items = self.values
+        if isinstance(items, str):
+            texts = (s.strip() for s in items.split(","))
+            items = [s.split(":", 1) if ":" in s else s for s in texts if s]
+        elif not isinstance(items, (list, tuple)):
+            raise ConfigError(f"sweep values {items!r} must be a list, a tuple or a,b,c text")
 
-    def validate(self) -> None:
+        def read(item):
+            if isinstance(item, str):
+                with contextlib.suppress(ConfigError):
+                    return _axis_number(self.parameter, item)
+            return item
+
+        values = (tuple(map(read, v)) if isinstance(v, (list, tuple)) else read(v) for v in items)
+        object.__setattr__(self, "values", tuple(values))
+
+    def validate(self) -> tuple[ModelParams, ...]:
+        """Raise ConfigError on a bad setting or value, else return the
+        parameter set of each value, in order: every value is applied here,
+        before any simulation runs."""
         self.base_params.validate()
         if not self.values:
             raise ConfigError("sweep has no values")
         as_count(self.reps, "reps")
         as_seed(self.master_seed, "master_seed")
-        # applying every value up front surfaces bad ones before any
-        # simulation has run
-        for v in self.values:
-            apply_axis(self.base_params, self.parameter, v)
+        return tuple(apply_axis(self.base_params, self.parameter, v) for v in self.values)
 
 
 def run_sweep(
@@ -233,16 +239,12 @@ def run_sweep(
     Value `i` uses seeds derived at axis position `i`, so adding a value to
     the end of a sweep never changes the results of the earlier ones.
     """
-    spec.validate()
+    params = spec.validate()
     resolved = _resolve_source(source)
-    out: list[tuple[object, AggregateMetrics]] = []
-    for i, v in enumerate(spec.values):
-        params_v = apply_axis(spec.base_params, spec.parameter, v)
-        agg = run_batch(
-            params_v, resolved, spec.reps, spec.master_seed, jobs=jobs, axis_index=i
-        )
-        out.append((v, agg))
-    return out
+    return [
+        (v, run_batch(p, resolved, spec.reps, spec.master_seed, jobs=jobs, axis_index=i))
+        for i, (v, p) in enumerate(zip(spec.values, params))
+    ]
 
 
 @dataclass(frozen=True)
@@ -345,6 +347,7 @@ def evaluate_profile(
     less noise. The batch runs on `jobs` worker processes, which does not
     change the result. Returns (objective, mean metrics dict).
     """
+    targets.validate()
     agg = run_batch(params, profile, reps, seed, jobs=jobs, axis_index=2)
     sim = {name: agg.mean(name) for name in CalibrationTargets.FIELDS}
     if sim["liquidity_ratio"] is None:
@@ -377,7 +380,6 @@ def calibrate_profile(
     candidate with (index, objective, best_so_far). Each candidate's batch
     runs on `jobs` worker processes, which does not change the result.
     """
-    targets.validate()
     search_budget = as_count(search_budget, "search_budget")
     seed = as_seed(seed)
     params = params if params is not None else ModelParams.baseline()

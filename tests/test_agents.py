@@ -549,6 +549,13 @@ def test_settle_rejects_inconsistent_fills():
     with pytest.raises(ContractViolation):
         settle_fill(fill, buyer, make_agent(id=2, kind=PS, shares=10), book, params)
 
+    zero_units = TradeFill(buyer=0, seller=1, price=40.0, units=0, budget=fill.budget)
+    with pytest.raises(ContractViolation, match="^fill of zero units$"):
+        settle_fill(zero_units, buyer, seller, book, params)
+
+    with pytest.raises(ContractViolation, match="^seller does not hold the filled units$"):
+        settle_fill(fill, buyer, make_agent(id=1, kind=PS, shares=0), book, params)
+
 
 def test_settle_rejects_self_trade():
     book = OfferBook()

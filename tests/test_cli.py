@@ -5,11 +5,13 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import warnings
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +25,18 @@ import fracmarket
 from fracmarket import (
     METRIC_FIELDS,
     ModelParams,
+    SweepSpec,
     default_profile,
     generate_population,
     load_population,
     make_rng,
     run_day,
+    run_sweep,
     save_population,
     simulate_profile_day,
     sweep_axes,
+    write_sweep_csv,
+    write_sweep_json,
 )
 from fracmarket.cli import _SETTINGS, _params, main
 
@@ -159,6 +165,15 @@ def test_batch_stdout_and_outfile(capsys, tmp_path, roster_csv):
     assert stdout_metric(out, "n_trades") == pytest.approx(rec["n_trades"], abs=5e-4)
 
 
+def test_batch_counts_days_with_an_undefined_ratio(capsys, tmp_path):
+    buyers = tmp_path / "buyers.csv"
+    save_population(make_population(n_pb=20), buyers)  # no offers, so no ratio
+    code, out, err = run_cli(capsys, "batch", "--reps", "3", "--population", str(buyers))
+    assert code == 0, err
+    assert "liquidity_ratio    undefined +- 0.000" in out.splitlines()
+    assert stdout_metric(out, "n_undefined_ratio") == 3
+
+
 def test_batch_deterministic_across_invocations(capsys, roster_csv):
     _, out1, _ = run_cli(capsys, "batch", "--seed", "6", "--reps", "4",
                          "--population", str(roster_csv))
@@ -200,6 +215,34 @@ def test_sweep_range_values_parse_as_pairs(capsys, tmp_path, roster_csv):
     assert rows[2][0] == "0.8:1.2"
 
 
+@pytest.mark.parametrize(
+    "parameter, values, text",
+    [
+        ("pb_trade_prob", "0.05,0.1", "0.05,0.1"),
+        ("market_range", [["0.7", "1.2"]], "0.7:1.2"),
+    ],
+)
+def test_a_library_sweep_reads_values_as_the_cli_does(
+    capsys, tmp_path, roster_csv, parameter, values, text
+):
+    spec = SweepSpec(parameter, values, reps=2, master_seed=3)
+    results = run_sweep(spec, roster_csv)
+    writers = {"csv": partial(write_sweep_csv, results),
+               "json": partial(write_sweep_json, spec, results)}
+    for fmt, write in writers.items():
+        code, out, err = run_cli(
+            capsys, "sweep", "--param", parameter, "--values", text, "--reps", "2",
+            "--seed", "3", "--population", str(roster_csv),
+            "--format", fmt, "--out", str(tmp_path / f"cli.{fmt}"),
+        )
+        assert code == 0, err
+        assert [line.split(":")[0] for line in out.splitlines()[1:]] == [
+            f"  {value}" for value, _ in results
+        ]
+        write(tmp_path / f"library.{fmt}")
+        assert (tmp_path / f"library.{fmt}").read_bytes() == (tmp_path / f"cli.{fmt}").read_bytes()
+
+
 def test_sweep_without_param_fails(capsys, roster_csv):
     code, _, err = run_cli(capsys, "sweep", "--values", "0.1",
                            "--population", str(roster_csv))
@@ -220,6 +263,18 @@ def test_gen_endowments_is_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
     pop = load_population(a)
     assert len(pop) == 1365
+
+
+def test_gen_endowments_prints_a_total_cash_beyond_float_range(capsys, tmp_path):
+    cash = {"family": "constant", "value": 1e308}
+    profile = {**default_profile().to_json_dict(), "n_pb": 3, "n_ps": 0, "n_bs": 1,
+               "cash_dist_pb": cash, "cash_dist_bs": cash}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": profile}))
+    code, out, err = run_cli(capsys, "gen-endowments", "--config", str(cfg),
+                             "--out", str(tmp_path / "pop.csv"))
+    assert (code, err) == (0, "")
+    assert re.fullmatch(r"total shares \d+, total cash inf", out.splitlines()[1])
 
 
 # --- calibrate --------------------------------------------------------------
@@ -538,6 +593,18 @@ def test_readme_table_lists_every_config_key():
         for name, s in _SETTINGS.items()
         if s.key is not None
     }
+
+
+def test_readme_python_blocks_run(tmp_path):
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        proc = subprocess.run(
+            [sys.executable, "-c", block],
+            capture_output=True, text=True, env=child_env(), cwd=tmp_path,
+        )
+        assert proc.returncode == 0, f"{block}\n{proc.stderr}"
 
 
 # --- fuzz -------------------------------------------------------------------

@@ -588,6 +588,25 @@ def test_calibration_rejects_a_bad_seed(seed):
         calibrate_profile(targets, 1, seed, reps=1)
 
 
+def test_calibrate_reports_each_candidate_and_scores_an_undefined_ratio_as_infinite():
+    # a profile without share holders makes no offers, so its ratio is
+    # undefined every day
+    no_holders = small_profile(ps_holder_frac=0.0, bs_holder_frac=0.0)
+    holders = small_profile(n_pb=40, n_ps=20, n_bs=10)
+    targets, params = CalibrationTargets(0.1, 1, 1, 1, 1), ModelParams.baseline()
+    obj, sim = evaluate_profile(no_holders, targets, params, reps=3, seed=9)
+    assert obj == math.inf
+    assert math.isnan(sim["liquidity_ratio"]) and sim["n_offers"] == 0.0
+    scored, _ = evaluate_profile(holders, targets, params, reps=3, seed=9)
+    calls = []
+    best, best_obj = calibrate_profile(
+        targets, 2, 9, params=params, reps=3, initial=[no_holders, holders],
+        progress=lambda *triple: calls.append(triple),
+    )
+    assert calls == [(0, math.inf, math.inf), (1, scored, scored)]
+    assert (best, best_obj) == (holders, scored)
+
+
 def test_calibrate_warm_start_never_loses_to_no_better_candidate():
     prof = small_profile(n_pb=40, n_ps=20, n_bs=10)
     params = ModelParams.baseline()
@@ -642,6 +661,30 @@ def test_targets_must_be_positive_finite_numbers(target):
     with pytest.raises(ConfigError, match="^target liquidity_ratio=.*$"):
         targets.validate()
     CalibrationTargets(0.1, 60, 100, 4000, 500).validate()
+
+
+BEYOND_FLOAT = 10**400  # an int no float can hold
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ModelParams(p_ref=BEYOND_FLOAT).validate(),
+        lambda: ModelParams(k_pb=BEYOND_FLOAT).validate(),
+        lambda: ModelParams(ps_price_lo=BEYOND_FLOAT, ps_price_hi=BEYOND_FLOAT).validate(),
+        lambda: DistSpec("constant", {"value": BEYOND_FLOAT}).validate(),
+        lambda: generate_population(small_profile(cash_floor=BEYOND_FLOAT), make_rng(0)),
+        lambda: evaluate_profile(
+            small_profile(), CalibrationTargets(BEYOND_FLOAT, 1, 1, 1, 1),
+            ModelParams.baseline(), reps=1, seed=0,
+        ),
+    ],
+    ids=["p_ref", "k_pb", "price_bounds", "dist_value", "cash_floor", "target"],
+)
+def test_an_int_beyond_float_range_is_no_float_number(call):
+    with pytest.raises(ConfigError) as exc:
+        call()
+    assert "\n" not in str(exc.value)
 
 
 def test_calibrate_rejects_nonpositive_targets():

@@ -336,9 +336,50 @@ def test_sweep_positions_match_batches():
     spec = SweepSpec("pb_trade_prob", (0.05, 0.3), reps=4, master_seed=2)
     results = run_sweep(spec, profile)
     assert [v for v, _ in results] == [0.05, 0.3]
+    assert spec.validate() == tuple(
+        apply_axis(spec.base_params, "pb_trade_prob", v) for v in spec.values
+    )
     for i, (v, agg) in enumerate(results):
         params_v = apply_axis(spec.base_params, "pb_trade_prob", v)
         assert agg == run_batch(params_v, profile, 4, 2, axis_index=i)
+
+
+def test_sweep_applies_each_value_once(monkeypatch):
+    applied = []
+
+    def counted(base, parameter, value):
+        applied.append(value)
+        return apply_axis(base, parameter, value)
+
+    monkeypatch.setattr(experiments, "apply_axis", counted)
+    run_sweep(SweepSpec("pb_trade_prob", (0.05, 0.3), reps=1), tiny_profile())
+    assert applied == [0.05, 0.3]
+
+
+@pytest.mark.parametrize(
+    "parameter, values, want",
+    [
+        ("pb_trade_prob", "0.05, 0.1", (0.05, 0.1)),
+        ("pb_trade_prob", ("0.1", 0.2), (0.1, 0.2)),
+        ("bs_search_len", ["2", 3.0, 4], (2, 3.0, 4)),
+        ("market_range", "0.7:1.2,0.8:1.1", ((0.7, 1.2), (0.8, 1.1))),
+        ("market_range", [["0.7", "1.2"], (0.8, 1.1)], ((0.7, 1.2), (0.8, 1.1))),
+        # text no axis reads stays as given, for validate to reject
+        ("market_width", ["abc", True], ("abc", True)),
+        ("spread", "0.1", ("0.1",)),
+    ],
+)
+def test_sweep_spec_reads_its_values(parameter, values, want):
+    got = SweepSpec(parameter, values).values
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize("values", [0.1, None, {}, {"a": 1}, 3])
+def test_sweep_values_of_another_type_are_a_config_error(values):
+    message = rf"^sweep values {re.escape(repr(values))} must be a list, a tuple or a,b,c text$"
+    with pytest.raises(ConfigError, match=message):
+        SweepSpec("pb_trade_prob", values)
 
 
 def test_sweep_prefix_stability():
