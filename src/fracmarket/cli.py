@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .core import (
-    ConfigError, EndowmentError, MarketError, ModelParams, as_number, as_seed, make_rng,
+    ConfigError, EndowmentError, MarketError, ModelParams, _quote, as_number, as_seed, make_rng,
 )
 from .endowments import (
     EndowmentProfile, _json_object, _profile_day, default_profile, generate_population,
@@ -58,12 +58,12 @@ class _Parser(argparse.ArgumentParser):
 def _text(name: str, raw) -> str:
     if isinstance(raw, str) and raw:
         return raw
-    raise ConfigError(f"{name}={raw!r} must be a non-empty string")
+    raise ConfigError(f"{name}={_quote(raw)} must be a non-empty string")
 
 
 def _path(name: str, raw) -> Path:
     if "\0" in _text(name, raw):
-        raise ConfigError(f"{name}={raw!r} is not a valid path")  # open() would raise ValueError
+        raise ConfigError(f"{name}={_quote(raw)} is not a valid path")  # open() raises ValueError
     return Path(raw)
 
 
@@ -78,7 +78,7 @@ def _master_seed(name: str, raw) -> int:
 def _file_format(name: str, raw) -> str:
     if raw in ("csv", "json"):
         return raw
-    raise ConfigError(f"{name}={raw!r} must be csv or json")
+    raise ConfigError(f"{name}={_quote(raw)} must be csv or json")
 
 
 def _roster(name: str, raw) -> list:
@@ -106,9 +106,6 @@ def _targets(name: str, raw) -> CalibrationTargets:
 def _params(name: str, overrides) -> ModelParams:
     if not isinstance(overrides, dict):
         raise ConfigError(f'config "{name}" must be an object of field overrides')
-    unknown = sorted(set(overrides) - set(ModelParams.field_names()))
-    if unknown:
-        raise ConfigError(f"unknown parameter fields in config: {', '.join(unknown)}")
     return ModelParams().replace(**{k: ModelParams.coerce(k, v) for k, v in overrides.items()})
 
 

@@ -191,7 +191,7 @@ class LazyPopulation(Sequence[AgentState]):
         agents = list(population)
         for pos, a in enumerate(agents):
             if not isinstance(a, AgentState):
-                raise ConfigError(f"population roster contains a non-agent: {a!r}")
+                raise ConfigError(f"population roster contains a non-agent: {_quote(a)}")
             if a.id != pos:
                 raise ConfigError(
                     f"population roster: agent at position {pos} has id {a.id}; "
@@ -432,25 +432,16 @@ class ModelParams:
     def validate(self) -> None:
         """Raise ConfigError listing every invalid field."""
         problems: list[str] = []
-        for name in (
-            "ps_offer_prob",
-            "pb_trade_prob",
-            "bs_offer_prob",
-            "bs_trade_prob",
-            "ps_offer_ratio",
-            "pb_purchase_ratio",
-            "bs_offer_ratio",
-            "bs_purchase_ratio",
-            "exit_fee_rate",
-        ):
+        # every probability, ratio and rate, as the field names say, lies in [0, 1]
+        for name in (n for n in _FIELD_TYPES if n.endswith(("_prob", "_ratio", "_rate"))):
             v = getattr(self, name)
             if not _is_number(v) or not 0.0 <= v <= 1.0:
-                problems.append(f"{name}={v!r} not in [0, 1]")
+                problems.append(f"{name}={_quote(v)} not in [0, 1]")
         p_ref_ok = _is_number(self.p_ref) and 0 < self.p_ref < math.inf
         if not p_ref_ok:
-            problems.append(f"p_ref={self.p_ref!r} not positive and finite")
+            problems.append(f"p_ref={_quote(self.p_ref)} not positive and finite")
         if not (_is_number(self.k_pb) and math.isfinite(self.k_pb)):
-            problems.append(f"k_pb={self.k_pb!r} not finite")
+            problems.append(f"k_pb={_quote(self.k_pb)} not finite")
         # zero-width bounds (lo == hi) are legal so degenerate price draws
         # can be scripted in tests. The two price bands price offers from
         # lo * p_ref to hi * p_ref; the market envelope only derives them.
@@ -464,23 +455,28 @@ class ModelParams:
                 problems.append(f"{lo_name}/{hi_name} not numeric")
             elif not (0.0 < lo <= hi < math.inf):
                 problems.append(
-                    f"({lo_name}, {hi_name})=({lo}, {hi}) must satisfy 0 < lo <= hi < inf"
+                    f"({lo_name}, {hi_name})=({_quote(lo)}, {_quote(hi)})"
+                    " must satisfy 0 < lo <= hi < inf"
                 )
-            elif prices and p_ref_ok and not (
-                lo * self.p_ref > 0.0 and hi * self.p_ref < math.inf
-            ):
-                problems.append(
-                    f"({lo_name}, {hi_name}) * p_ref=({lo * self.p_ref}, {hi * self.p_ref})"
-                    " must be positive and finite"
-                )
+            elif prices and p_ref_ok:  # on the floats stored: 10**200 * 10**200 is not inf
+                band = (float(lo) * float(self.p_ref), float(hi) * float(self.p_ref))
+                if not (band[0] > 0.0 and band[1] < math.inf):
+                    problems.append(
+                        f"({lo_name}, {hi_name}) * p_ref={band} must be positive and finite"
+                    )
         for name, kind in _FIELD_TYPES.items():
             v = getattr(self, name)
             if kind is int and not (_is_number(v, int) and v >= 1):
-                problems.append(f"{name}={v!r} not a positive int")
+                problems.append(f"{name}={_quote(v)} not a positive int")
             elif kind is bool and not isinstance(v, (bool, np.bool_)):
-                problems.append(f"{name}={v!r} not a bool")
+                problems.append(f"{name}={_quote(v)} not a bool")
         if problems:
             raise ConfigError("invalid parameters: " + "; ".join(problems))
+
+    def __post_init__(self) -> None:
+        self.validate()  # so a parameter set that exists is valid
+        for name, kind in _FIELD_TYPES.items():  # numpy numbers can wrap, lack as_integer_ratio
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
     @staticmethod
     def coerce(name: str, value) -> float | int | bool:
@@ -496,7 +492,7 @@ class ModelParams:
         """
         kind = _FIELD_TYPES.get(name)
         if kind is None:
-            raise ConfigError(f"unknown parameter field {name!r}")
+            raise ConfigError(f"unknown parameter field {_quote(name)}")
         if kind is bool:
             if isinstance(value, str):
                 flag = _FLAG_WORDS.get(value.strip().lower())
@@ -504,15 +500,11 @@ class ModelParams:
                 number = isinstance(value, (numbers.Real, np.bool_))
                 flag = bool(value) if number and value in (0, 1) else None
             if flag is None:
-                raise ConfigError(f"{name}={value!r} is not a flag (true, false, 0 or 1)")
+                raise ConfigError(f"{name}={_quote(value)} is not a flag (true, false, 0 or 1)")
             return flag
         return as_number(name, value, kind)
 
-    def replace(self, **changes) -> "ModelParams":
-        """Copy with fields changed; validates the result."""
-        p = replace(self, **changes)
-        p.validate()
-        return p
+    replace = replace  # dataclasses.replace: a copy with fields changed, checked when made
 
     @staticmethod
     def field_names() -> tuple[str, ...]:
@@ -522,10 +514,7 @@ class ModelParams:
 def _is_number(value, kind: type = float) -> bool:
     """The one test for a number: an integer (numpy's included; for
     `kind=float` only within float range, so arithmetic on it cannot
-    overflow) or, for `kind=float`, a float; never a bool. The exact-type
-    test settles the common case cheaply, as every day validates its parameters."""
-    if type(value) is kind:
-        return True
+    overflow) or, for `kind=float`, a float; never a bool."""
     if isinstance(value, numbers.Integral):
         return not isinstance(value, bool) and (kind is int or abs(value) <= sys.float_info.max)
     return isinstance(value, kind)
@@ -536,24 +525,24 @@ def as_number(name: str, value, kind: type = float) -> float | int:
 
     The one reader for numbers given as text or loosely typed JSON: model
     parameters, profile fields and command-line settings. It takes a number
-    (`_is_number`) or a numeric string; an integer must be integral, never truncated.
-    Anything else, a bool included, raises ConfigError naming `name` and
-    the value. Ranges are left to the caller.
+    (`_is_number`) or a numeric string; an integer must be integral, never
+    truncated, and is read exactly. Anything else, a bool included, raises
+    ConfigError naming `name` and the value. Ranges are left to the caller.
     """
-    if kind is int and isinstance(value, str):
+    if kind is int and (isinstance(value, str) or _is_number(value, int)):
         with contextlib.suppress(ValueError):
-            return int(value)  # exact where float() would round, as for a seed of 2**60
+            return int(value)  # exact where float() would round or overflow, as for 2**60
     x = None
     if isinstance(value, str) or _is_number(value):
         with contextlib.suppress(ValueError):
             x = float(value)
     if x is None:
-        raise ConfigError(f"{name}={value!r} is not a number")
+        raise ConfigError(f"{name}={_quote(value)} is not a number")
     if kind is float:
         return x
     if not x.is_integer():
-        raise ConfigError(f"{name}={value!r} is not an integer")
-    return int(value) if isinstance(value, numbers.Integral) else int(x)
+        raise ConfigError(f"{name}={_quote(value)} is not an integer")
+    return int(x)
 
 
 def as_seed(value, name: str = "seed") -> int:
@@ -573,7 +562,16 @@ def as_count(value, name: str) -> int:
 def _as_int(value, name: str, least: int, what: str) -> int:  # as_seed's and as_count's check
     if _is_number(value, int) and value >= least:
         return int(value)
-    raise ConfigError(f"{name}={value!r} must be a {what} integer")
+    raise ConfigError(f"{name}={_quote(value)} must be a {what} integer")
+
+
+def _quote(value) -> str:
+    """`repr(value)` for an error message, on one line of at most 80 characters."""
+    try:
+        text = " ".join(repr(value).splitlines())
+    except ValueError:  # an int past the 4300-digit limit for text
+        return f"<{type(value).__name__} too long to print>"
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 _FLAG_WORDS = {"true": True, "false": False, "1": True, "0": False}

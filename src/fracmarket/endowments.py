@@ -21,6 +21,7 @@ import contextlib
 import csv
 import json
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from functools import partial
@@ -40,6 +41,7 @@ from .core import (
     ModelParams,
     Rng,
     _is_number,
+    _quote,
     as_number,
     as_seed,
     make_rng,
@@ -79,10 +81,23 @@ _FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., np.ndarray]]] = {
 }
 
 
+class _Args(dict):
+    """A `DistSpec`'s arguments: a dict that refuses changes, so a checked spec stays valid."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a DistSpec's args cannot change; make a new DistSpec")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):  # pickle would fill it through __setitem__
+        return _Args, (dict(self),)
+
+
 @dataclass(frozen=True)
 class DistSpec:
     """One endowment distribution: a family and its arguments, each an int
-    or a float (a bool is neither).
+    or a float (a bool is neither). A spec keeps its arguments as plain
+    Python numbers in a dict that refuses changes, so it stays as checked.
 
     Families and their arguments:
 
@@ -98,38 +113,41 @@ class DistSpec:
     family: str
     args: dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self.validate()  # then kept as plain numbers, which JSON writes, in a dict none can change
+        a = self.args
+        plain = {k: int(v) if isinstance(v, numbers.Integral) else float(v) for k, v in a.items()}
+        object.__setattr__(self, "args", _Args(plain))
+
     def validate(self) -> None:
         if not isinstance(self.family, str) or self.family not in _FAMILIES:
-            raise ConfigError(
-                f"unknown distribution family {self.family!r}; expected one of {tuple(_FAMILIES)}"
-            )
+            family, known = _quote(self.family), tuple(_FAMILIES)
+            raise ConfigError(f"unknown distribution family {family}; expected one of {known}")
         if not isinstance(self.args, dict):
-            raise ConfigError(f"distribution {self.family!r}: args {self.args!r} not a dict")
+            raise ConfigError(f"distribution {self.family!r}: args {_quote(self.args)} not a dict")
         required = _FAMILIES[self.family][0]
         missing = [k for k in required if k not in self.args]
         extra = [k for k in self.args if k not in required]
         if missing or extra:
             raise ConfigError(
-                f"distribution {self.family!r}: missing args {missing}, unexpected {extra}"
+                f"distribution {self.family!r}: missing args {missing}, unexpected {_quote(extra)}"
             )
         a = self.args
         bad = [k for k, v in a.items() if not (_is_number(v) and math.isfinite(v))]
         if bad:
             raise ConfigError(f"distribution {self.family!r}: args {bad} not finite numbers")
+        q = {k: _quote(v) for k, v in a.items()}
         if self.family == "constant" and a["value"] < 0:
-            raise ConfigError(f"constant value {a['value']} negative")
+            raise ConfigError(f"constant value {q['value']} negative")
         if self.family == "uniform-integer":
             lo, hi = a["lo"], a["hi"]
             # numpy draws int64, so hi + 1 may reach 2**63 but not pass it
             if lo != int(lo) or hi != int(hi) or not 0 <= lo <= hi < 2**63:
-                raise ConfigError(f"uniform-integer bounds ({lo}, {hi}) invalid")
+                raise ConfigError(f"uniform-integer bounds ({q['lo']}, {q['hi']}) invalid")
         if self.family == "lognormal-rounded" and a["sigma"] < 0:
-            raise ConfigError(f"lognormal sigma {a['sigma']} negative")
-        if self.family == "pareto-rounded":
-            if a["shape"] <= 0 or a["scale"] < 0:
-                raise ConfigError(
-                    f"pareto shape/scale ({a['shape']}, {a['scale']}) invalid"
-                )
+            raise ConfigError(f"lognormal sigma {q['sigma']} negative")
+        if self.family == "pareto-rounded" and (a["shape"] <= 0 or a["scale"] < 0):
+            raise ConfigError(f"pareto shape/scale ({q['shape']}, {q['scale']}) invalid")
 
     def sample(self, n: int, rng: Rng) -> np.ndarray:
         """Draw n values as floats; rounded families return whole numbers."""
@@ -141,11 +159,9 @@ class DistSpec:
     @classmethod
     def from_json_dict(cls, d: dict) -> "DistSpec":
         if not isinstance(d, dict) or "family" not in d:
-            raise ConfigError(f"distribution spec {d!r} lacks a family")
+            raise ConfigError(f"distribution spec {_quote(d)} lacks a family")
         args = {k: as_number(k, v) for k, v in d.items() if k != "family"}
-        spec = cls(family=d["family"], args=args)
-        spec.validate()
-        return spec
+        return cls(family=d["family"], args=args)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -171,29 +187,29 @@ class EndowmentProfile:
     cash_floor: float = 0.0
 
     def validate(self) -> None:
-        """Raise ConfigError listing every bad number, else naming the first bad distribution."""
-        problems, dists = [], []
+        """Raise ConfigError listing every bad field; each DistSpec checked itself when made."""
+        problems = []
         for f in fields(self):
             v = getattr(self, f.name)
             if f.default is MISSING:  # a distribution, as in from_json_dict
-                dists.append((f.name, v))
+                if not isinstance(v, DistSpec):
+                    problems.append(f"{f.name}={_quote(v)} is not a DistSpec")
             elif type(f.default) is int:
                 if not (_is_number(v, int) and v >= 0):
-                    problems.append(f"{f.name}={v!r} not a nonnegative int")
+                    problems.append(f"{f.name}={_quote(v)} not a nonnegative int")
             elif f.name == "cash_floor":
                 if not (_is_number(v) and 0.0 <= v < math.inf):
-                    problems.append(f"cash_floor={v!r} not nonnegative and finite")
+                    problems.append(f"cash_floor={_quote(v)} not nonnegative and finite")
             elif not (_is_number(v) and 0.0 <= v <= 1.0):  # a holder fraction
-                problems.append(f"{f.name}={v!r} not in [0, 1]")
+                problems.append(f"{f.name}={_quote(v)} not in [0, 1]")
         if problems:
             raise ConfigError("invalid profile: " + "; ".join(problems))
-        for name, spec in dists:
-            if not isinstance(spec, DistSpec):
-                raise ConfigError(f"{name}={spec!r} is not a DistSpec")
-            try:
-                spec.validate()
-            except ConfigError as e:
-                raise ConfigError(f"{name}: {e}") from None
+
+    def __post_init__(self) -> None:
+        self.validate()  # so a profile that exists is valid; then its numbers made plain
+        for f in fields(self):
+            if f.default is not MISSING:
+                object.__setattr__(self, f.name, type(f.default)(getattr(self, f.name)))
 
     def to_json_dict(self) -> dict:
         d = {}
@@ -219,9 +235,7 @@ class EndowmentProfile:
                     raise ConfigError(f"{f.name}: {e}") from None
             else:  # a number, an int when its default is one
                 values[f.name] = as_number(f.name, d.get(f.name, f.default), type(f.default))
-        profile = cls(**values)
-        profile.validate()
-        return profile
+        return cls(**values)
 
 
 @contextlib.contextmanager
@@ -250,7 +264,7 @@ def _json_object(path, what: str) -> dict:
     try:
         with _open(path, what) as f:
             d = json.load(f)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an int past the 4300-digit limit
         raise EndowmentError(f"{what} {path} is not valid JSON: {e}") from None
     if not isinstance(d, dict):
         raise EndowmentError(f"{what} {path} must hold a JSON object")
@@ -295,7 +309,6 @@ def _draw_columns(profile: EndowmentProfile, rng: Rng) -> LazyPopulation:
     uniforms, buyer-seller shares, buyer-seller cash. A draw beyond float
     range is an EndowmentError.
     """
-    profile.validate()
     cash_pb = _cash_values(profile.cash_dist_pb, profile.n_pb, profile.cash_floor, rng)
     holder_ps = rng.random(profile.n_ps) < profile.ps_holder_frac
     shares_ps = _share_values(profile.share_dist_ps, profile.n_ps, rng)
@@ -352,32 +365,31 @@ def load_population(path) -> list[AgentState]:
             raise EndowmentError(f"{p}: empty file, expected header kind,shares,cash") from None
         if [h.strip() for h in header] != _CSV_HEADER:
             raise EndowmentError(
-                f"{p}: bad header {header!r}, expected kind,shares,cash"
+                f"{p}: bad header {_quote(header)}, expected kind,shares,cash"
             )
         agents: list[AgentState] = []
         for i, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # blank line
+            at = f"{p}: row {i}:"
             if len(row) != 3:
-                raise EndowmentError(f"{p}: row {i}: expected 3 fields, got {len(row)}")
+                raise EndowmentError(f"{at} expected 3 fields, got {len(row)}")
             kind_s, shares_s, cash_s = (c.strip() for c in row)
             kind = _KIND_LABELS.get(kind_s)
             if kind is None:
-                raise EndowmentError(
-                    f"{p}: row {i}: unknown kind {kind_s!r}, expected PS, PB or BS"
-                )
+                raise EndowmentError(f"{at} unknown kind {_quote(kind_s)}, expected PS, PB or BS")
             try:
                 shares = int(shares_s)
             except ValueError:
-                raise EndowmentError(f"{p}: row {i}: shares {shares_s!r} not an integer") from None
+                raise EndowmentError(f"{at} shares {_quote(shares_s)} not an integer") from None
             if shares < 0:
-                raise EndowmentError(f"{p}: row {i}: shares {shares} negative")
+                raise EndowmentError(f"{at} shares {_quote(shares)} negative")
             try:
                 cash = Fraction(cash_s)
             except (ValueError, ZeroDivisionError):
-                raise EndowmentError(f"{p}: row {i}: cash {cash_s!r} not a decimal") from None
+                raise EndowmentError(f"{at} cash {_quote(cash_s)} not a decimal") from None
             if cash < 0:
-                raise EndowmentError(f"{p}: row {i}: cash {cash_s} negative")
+                raise EndowmentError(f"{at} cash {_quote(cash_s)} negative")
             agents.append(AgentState(len(agents), kind, shares, cash))
     return agents
 

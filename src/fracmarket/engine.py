@@ -216,7 +216,6 @@ def run_day(
     offers are discarded; callers that need the pristine balances must
     copy before calling.
     """
-    params.validate()
     population = LazyPopulation.of(population)
     rng = make_rng(seed)
     book = run_pretrading(population, params, rng)

@@ -18,7 +18,6 @@ in repetition order, so aggregate output is identical for any ``jobs`` value.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
@@ -31,7 +30,7 @@ import numpy as np
 
 from .core import (
     AgentState, ConfigError, LazyPopulation, ModelParams, Rng,
-    _is_number, as_count, as_number, as_seed, make_rng,
+    _is_number, _quote, as_count, as_number, as_seed, make_rng,
 )
 from .endowments import (
     _FAMILIES, DistSpec, EndowmentProfile, load_population, simulate_profile_day,
@@ -90,7 +89,7 @@ def apply_axis(base: ModelParams, parameter: str, value) -> ModelParams:
                 lo, hi = (_axis_number(parameter, x) for x in value)
             except (TypeError, ValueError, ConfigError):
                 raise ConfigError(
-                    f"market_range value {value!r} must be a (lo, hi) pair of numbers"
+                    f"market_range value {_quote(value)} must be a (lo, hi) pair of numbers"
                 ) from None
             return base.with_ranges_from_market(lo, hi)
         x = _axis_number(parameter, value)
@@ -100,7 +99,7 @@ def apply_axis(base: ModelParams, parameter: str, value) -> ModelParams:
         mid, w = ((lo + hi) / 2.0, x) if parameter == "market_width" else (x, hi - lo)
         return base.with_ranges_from_market(mid - w / 2.0, mid + w / 2.0)
     except ConfigError as e:
-        raise ConfigError(f"sweep value {value!r} for {parameter!r}: {e}") from None
+        raise ConfigError(f"sweep value {_quote(value)} for {_quote(parameter)}: {e}") from None
 
 
 def _axis_number(parameter: str, x):
@@ -111,7 +110,7 @@ def _axis_number(parameter: str, x):
     if parameter in ModelParams.field_names():
         return ModelParams.coerce(parameter, x)
     axes = ", ".join(sweep_axes())
-    raise ConfigError(f"unknown sweep parameter {parameter!r}; valid axes: {axes}")
+    raise ConfigError(f"unknown sweep parameter {_quote(parameter)}; valid axes: {axes}")
 
 
 def _resolve_source(source: PopulationSource) -> EndowmentProfile | LazyPopulation:
@@ -165,7 +164,6 @@ def run_batch(
     balances. A roster's ids must be dense: the agent at list position `i`
     has id `i`, or ConfigError is raised. Output is independent of `jobs`.
     """
-    params.validate()
     master_seed = as_seed(master_seed, "master_seed")
     reps, jobs = as_count(reps, "reps"), as_count(jobs, "jobs")
     resolved = _resolve_source(source)
@@ -191,9 +189,9 @@ class SweepSpec:
     """One-dimensional sweep: `parameter` takes each of `values` in turn.
 
     `values` is a list or tuple, or text ``a,b,c`` with pairs as ``lo:hi``
-    as ``fracmarket sweep --values`` takes it. A text item `_axis_number`
-    reads becomes its number, an inner list or tuple a tuple of its items so
-    read; the rest stay as given, for `apply_axis` to read or reject.
+    as ``fracmarket sweep --values`` takes it; `_axis_number` reads each text
+    item, in an inner list or tuple too. A spec applies each value when made
+    and keeps the parameter sets for `run_sweep`.
     """
 
     parameter: str
@@ -203,32 +201,32 @@ class SweepSpec:
     base_params: ModelParams = field(default_factory=ModelParams)
 
     def __post_init__(self):
+        if not isinstance(self.parameter, str):
+            raise ConfigError(f"sweep parameter {_quote(self.parameter)} is not an axis name")
         items = self.values
         if isinstance(items, str):
             texts = (s.strip() for s in items.split(","))
             items = [s.split(":", 1) if ":" in s else s for s in texts if s]
         elif not isinstance(items, (list, tuple)):
-            raise ConfigError(f"sweep values {items!r} must be a list, a tuple or a,b,c text")
+            raise ConfigError(f"sweep values {_quote(items)} must be a list, a tuple or a,b,c text")
 
         def read(item):
-            if isinstance(item, str):
-                with contextlib.suppress(ConfigError):
-                    return _axis_number(self.parameter, item)
-            return item
+            return _axis_number(self.parameter, item) if isinstance(item, str) else item
 
         values = (tuple(map(read, v)) if isinstance(v, (list, tuple)) else read(v) for v in items)
         object.__setattr__(self, "values", tuple(values))
+        self.validate()
+        param_sets = tuple(apply_axis(self.base_params, self.parameter, v) for v in self.values)
+        object.__setattr__(self, "_param_sets", param_sets)
 
-    def validate(self) -> tuple[ModelParams, ...]:
-        """Raise ConfigError on a bad setting or value, else return the
-        parameter set of each value, in order: every value is applied here,
-        before any simulation runs."""
-        self.base_params.validate()
+    def validate(self) -> None:
+        """Raise ConfigError on a bad setting; a bad value was refused when made."""
+        if not isinstance(self.base_params, ModelParams):
+            raise ConfigError(f"base_params={_quote(self.base_params)} is not a ModelParams")
         if not self.values:
             raise ConfigError("sweep has no values")
         as_count(self.reps, "reps")
         as_seed(self.master_seed, "master_seed")
-        return tuple(apply_axis(self.base_params, self.parameter, v) for v in self.values)
 
 
 def run_sweep(
@@ -239,11 +237,10 @@ def run_sweep(
     Value `i` uses seeds derived at axis position `i`, so adding a value to
     the end of a sweep never changes the results of the earlier ones.
     """
-    params = spec.validate()
     resolved = _resolve_source(source)
     return [
         (v, run_batch(p, resolved, spec.reps, spec.master_seed, jobs=jobs, axis_index=i))
-        for i, (v, p) in enumerate(zip(spec.values, params))
+        for i, (v, p) in enumerate(zip(spec.values, spec._param_sets))
     ]
 
 
@@ -263,7 +260,9 @@ class CalibrationTargets:
         for name in self.FIELDS:
             v = getattr(self, name)
             if not (_is_number(v) and 0 < v < math.inf):
-                raise ConfigError(f"target {name}={v!r} must be a positive finite number")
+                raise ConfigError(f"target {name}={_quote(v)} must be a positive finite number")
+
+    __post_init__ = validate  # so targets that exist are valid
 
 
 # reproduction targets for the default market configuration
@@ -347,7 +346,6 @@ def evaluate_profile(
     less noise. The batch runs on `jobs` worker processes, which does not
     change the result. Returns (objective, mean metrics dict).
     """
-    targets.validate()
     agg = run_batch(params, profile, reps, seed, jobs=jobs, axis_index=2)
     sim = {name: agg.mean(name) for name in CalibrationTargets.FIELDS}
     if sim["liquidity_ratio"] is None:

@@ -509,6 +509,26 @@ def test_flag_seed_overrides_config_seed(capsys, tmp_path, roster_csv):
     assert overridden == direct7
 
 
+def test_a_seed_beyond_float_range_reads_alike_from_config_and_flag(capsys, tmp_path, roster_csv):
+    # a JSON integer is read exactly, as the same digits given as a flag are
+    digits = "1" + "0" * 400
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": int(digits), "population": str(roster_csv)}))
+    code, from_cfg, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 0, err
+    _, from_flag, _ = run_cli(capsys, "run", "--seed", digits, "--population", str(roster_csv))
+    assert from_cfg == from_flag
+
+
+def test_a_config_integer_too_long_to_read_exits_1_with_one_line(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 1' + "0" * 5000 + "}")  # past Python's 4300-digit limit
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith(f"fracmarket: configuration error: config file {cfg} is not valid JSON")
+    assert err.count("\n") == 1, err
+
+
 def test_config_params_change_results(capsys, tmp_path, roster_csv):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"ps_offer_prob": 0.9}}))

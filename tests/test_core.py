@@ -316,17 +316,17 @@ def test_baseline_defaults():
 
 
 def test_validation_reports_every_problem():
-    p = make_params(ps_offer_prob=1.5, pb_purchase_ratio=-0.1, p_ref=0.0)
     with pytest.raises(ConfigError) as e:
-        p.validate()
+        make_params(ps_offer_prob=1.5, pb_purchase_ratio=-0.1, p_ref=0.0)
     msg = str(e.value)
     assert "ps_offer_prob" in msg and "pb_purchase_ratio" in msg and "p_ref" in msg
 
 
 def test_validation_rejects_bools_for_numeric_fields():
-    p = make_params(pb_trade_prob=True, exit_fee_rate=False, k_pb=True, p_ref=True, ps_price_lo=True)
     with pytest.raises(ConfigError) as e:
-        p.validate()
+        make_params(
+            pb_trade_prob=True, exit_fee_rate=False, k_pb=True, p_ref=True, ps_price_lo=True
+        )
     msg = str(e.value)
     assert "\n" not in msg
     for name in ("pb_trade_prob=True", "exit_fee_rate=False", "k_pb=True", "p_ref=True", "ps_price_lo"):
@@ -352,15 +352,17 @@ def test_price_bounds_must_be_ordered():
         # hi * p_ref overflows: offers would be priced nan
         (dict(p_ref=1e300, ps_price_lo=1e10, ps_price_hi=1e10), r"\(inf, inf\)"),
         (dict(p_ref=1e300, bs_price_lo=0.5, bs_price_hi=1e10), r"\(5e\+299, inf\)"),
+        # ints within float range whose exact product is not, but whose float one is inf
+        (dict(p_ref=10**200, ps_price_lo=1, ps_price_hi=10**200), r"\(1e\+200, inf\)"),
     ],
 )
 def test_a_price_band_times_p_ref_must_be_positive_and_finite(fields, band):
-    params = make_params(ps_offer_prob=1.0, **fields)
     with pytest.raises(ConfigError, match=r"price_hi\) \* p_ref=" + band) as e:
-        params.validate()
+        make_params(ps_offer_prob=1.0, **fields)
     assert "\n" not in str(e.value)
+    seller = make_agent(0, AgentKind.PURE_SELLER, shares=10)
     with pytest.raises(ConfigError):
-        run_day([make_agent(0, AgentKind.PURE_SELLER, shares=10)], params, 0)
+        run_day([seller], make_params(ps_offer_prob=1.0, **fields), 0)
 
 
 def test_zero_width_price_bounds_allowed():

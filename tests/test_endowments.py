@@ -97,21 +97,23 @@ def test_uniform_integer_bounds_stay_inside_int64():
         ({"bs_holder_frac": None}, "bs_holder_frac=None not in"),
         ({"cash_floor": "0"}, "cash_floor='0' not nonnegative"),
         ({"cash_dist_pb": {"family": "constant", "value": 1}}, "cash_dist_pb=.* is not a DistSpec"),
-        ({"share_dist_ps": DistSpec("constant", {"value": "1"})},
-         r"share_dist_ps: distribution 'constant': args \['value'\] not finite numbers"),
-        ({"cash_dist_bs": DistSpec("lognormal-rounded", {"mu": True, "sigma": 1.0})},
-         r"cash_dist_bs: .*args \['mu'\] not finite numbers"),
-        ({"cash_dist_pb": DistSpec("lognormal-rounded", {"mu": 1.0, "sigma": -0.5})},
-         r"^cash_dist_pb: lognormal sigma -0\.5 negative$"),
-        ({"share_dist_ps": DistSpec("pareto-rounded", {"shape": 0, "scale": 10.0})},
-         r"^share_dist_ps: pareto shape/scale \(0, 10\.0\) invalid$"),
-        ({"share_dist_bs": DistSpec("pareto-rounded", {"shape": 1.5, "scale": -1})},
-         r"^share_dist_bs: pareto shape/scale \(1\.5, -1\) invalid$"),
+        # a (family, args) pair is made a DistSpec inside the raises block;
+        # a bad one is refused when made, before any profile names its field
+        ({"share_dist_ps": ("constant", {"value": "1"})},
+         r"^distribution 'constant': args \['value'\] not finite numbers$"),
+        ({"cash_dist_bs": ("lognormal-rounded", {"mu": True, "sigma": 1.0})},
+         r"^distribution 'lognormal-rounded': args \['mu'\] not finite numbers$"),
+        ({"cash_dist_pb": ("lognormal-rounded", {"mu": 1.0, "sigma": -0.5})},
+         r"^lognormal sigma -0\.5 negative$"),
+        ({"share_dist_ps": ("pareto-rounded", {"shape": 0, "scale": 10.0})},
+         r"^pareto shape/scale \(0, 10\.0\) invalid$"),
+        ({"share_dist_bs": ("pareto-rounded", {"shape": 1.5, "scale": -1})},
+         r"^pareto shape/scale \(1\.5, -1\) invalid$"),
     ],
 )
 def test_a_profile_built_in_code_is_type_checked(change, message):
     with pytest.raises(ConfigError, match=message) as e:
-        small_profile(**change).validate()
+        small_profile(**{k: DistSpec(*v) if type(v) is tuple else v for k, v in change.items()})
     assert "\n" not in str(e.value)
 
 
@@ -517,8 +519,8 @@ def test_profile_validation_errors():
         small_profile(ps_holder_frac=1.5).validate()
     with pytest.raises(ConfigError):
         small_profile(n_pb=-1).validate()
-    with pytest.raises(ConfigError, match="share_dist_ps"):
-        small_profile(share_dist_ps=DistSpec("constant", {"value": -2})).validate()
+    with pytest.raises(ConfigError, match="^constant value -2 negative$"):
+        small_profile(share_dist_ps=DistSpec("constant", {"value": -2}))
 
 
 def test_profile_missing_key_rejected():
@@ -655,11 +657,8 @@ def test_calibration_digest_holds_at_two_jobs():
 
 @pytest.mark.parametrize("target", [True, "0.1", 0.0, -1, math.inf, math.nan, None, [0.1]])
 def test_targets_must_be_positive_finite_numbers(target):
-    targets = CalibrationTargets(
-        liquidity_ratio=target, n_offers=60, n_trades=100, offered_shares=4000, traded_shares=500
-    )
     with pytest.raises(ConfigError, match="^target liquidity_ratio=.*$"):
-        targets.validate()
+        CalibrationTargets(target, n_offers=60, n_trades=100, offered_shares=4000, traded_shares=500)
     CalibrationTargets(0.1, 60, 100, 4000, 500).validate()
 
 

@@ -336,7 +336,7 @@ def test_sweep_positions_match_batches():
     spec = SweepSpec("pb_trade_prob", (0.05, 0.3), reps=4, master_seed=2)
     results = run_sweep(spec, profile)
     assert [v for v, _ in results] == [0.05, 0.3]
-    assert spec.validate() == tuple(
+    assert spec._param_sets == tuple(
         apply_axis(spec.base_params, "pb_trade_prob", v) for v in spec.values
     )
     for i, (v, agg) in enumerate(results):
@@ -364,15 +364,24 @@ def test_sweep_applies_each_value_once(monkeypatch):
         ("bs_search_len", ["2", 3.0, 4], (2, 3.0, 4)),
         ("market_range", "0.7:1.2,0.8:1.1", ((0.7, 1.2), (0.8, 1.1))),
         ("market_range", [["0.7", "1.2"], (0.8, 1.1)], ((0.7, 1.2), (0.8, 1.1))),
-        # text no axis reads stays as given, for validate to reject
-        ("market_width", ["abc", True], ("abc", True)),
-        ("spread", "0.1", ("0.1",)),
     ],
 )
 def test_sweep_spec_reads_its_values(parameter, values, want):
     got = SweepSpec(parameter, values).values
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize(
+    "parameter, values, message",
+    [
+        ("market_width", ["abc", True], "^market_width='abc' is not a number$"),
+        ("spread", "0.1", "^unknown sweep parameter 'spread'; valid axes: "),
+    ],
+)
+def test_text_no_axis_reads_is_refused_when_the_spec_is_made(parameter, values, message):
+    with pytest.raises(ConfigError, match=message):
+        SweepSpec(parameter, values)
 
 
 @pytest.mark.parametrize("values", [0.1, None, {}, {"a": 1}, 3])
@@ -391,9 +400,8 @@ def test_sweep_prefix_stability():
 
 
 def test_sweep_validates_every_value_up_front():
-    spec = SweepSpec("ps_offer_prob", (0.1, 2.0), reps=1)
     with pytest.raises(ConfigError, match="2.0"):
-        spec.validate()
+        SweepSpec("ps_offer_prob", (0.1, 2.0), reps=1)
     with pytest.raises(ConfigError):
         SweepSpec("ps_offer_prob", (), reps=1).validate()
 
