@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .core import (
-    ConfigError, EndowmentError, MarketError, ModelParams, _quote, as_number, as_seed, make_rng,
+    ConfigError, EndowmentError, MarketError, ModelParams, _quote, as_count, as_seed, make_rng,
 )
 from .endowments import (
     EndowmentProfile, _json_object, _profile_day, default_profile, generate_population,
@@ -50,63 +50,58 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Readers: `read(name, raw)` turns a flag's text or a config value into the
+# Readers: `read(raw, name)` turns a flag's text or a config value into the
 # setting's value, or raises ConfigError naming the setting and the value.
-# Ranges are checked where a value is used.
+# Numbers are read as the library reads them: by as_seed, as_count or their type.
 
 
-def _text(name: str, raw) -> str:
+def _text(raw, name: str) -> str:
     if isinstance(raw, str) and raw:
         return raw
     raise ConfigError(f"{name}={_quote(raw)} must be a non-empty string")
 
 
-def _path(name: str, raw) -> Path:
-    if "\0" in _text(name, raw):
+def _path(raw, name: str) -> Path:
+    if "\0" in _text(raw, name):
         raise ConfigError(f"{name}={_quote(raw)} is not a valid path")  # open() raises ValueError
     return Path(raw)
 
 
-def _integer(name: str, raw) -> int:
-    return as_number(name, raw, int)
-
-
-def _master_seed(name: str, raw) -> int:
-    return as_seed(_integer(name, raw), name)
-
-
-def _file_format(name: str, raw) -> str:
+def _file_format(raw, name: str) -> str:
     if raw in ("csv", "json"):
         return raw
     raise ConfigError(f"{name}={_quote(raw)} must be csv or json")
 
 
-def _roster(name: str, raw) -> list:
-    return load_population(_path(name, raw))
+def _roster(raw, name: str) -> list:
+    return load_population(_path(raw, name))
 
 
-def _profile(name: str, raw) -> EndowmentProfile:
+def _profile(raw, name: str) -> EndowmentProfile:
     """A profile JSON file's path, or an inline profile object."""
     if isinstance(raw, dict):
         return EndowmentProfile.from_json_dict(raw)
-    return load_profile(_path(name, raw))
+    return load_profile(_path(raw, name))
 
 
-def _targets(name: str, raw) -> CalibrationTargets:
-    path = _path(name, raw)
+def _targets(raw, name: str) -> CalibrationTargets:
+    path = _path(raw, name)
     doc = _json_object(path, "targets file")
     try:
-        return CalibrationTargets(**{k: as_number(k, doc[k]) for k in CalibrationTargets.FIELDS})
+        return CalibrationTargets(**{k: doc[k] for k in CalibrationTargets.FIELDS})
     except KeyError as e:
         raise ConfigError(f"targets file lacks {e.args[0]!r}") from None
     except ConfigError as e:
         raise ConfigError(f"targets file {path}: {e}") from None
 
 
-def _params(name: str, overrides) -> ModelParams:
+def _params(overrides, name: str) -> ModelParams:
     if not isinstance(overrides, dict):
         raise ConfigError(f'config "{name}" must be an object of field overrides')
-    return ModelParams().replace(**{k: ModelParams.coerce(k, v) for k, v in overrides.items()})
+    for k in overrides:
+        if k not in ModelParams.field_names():
+            raise ConfigError(f"unknown parameter field {_quote(k)}")
+    return ModelParams(**overrides)
 
 
 class _Setting(NamedTuple):
@@ -116,7 +111,7 @@ class _Setting(NamedTuple):
     without a reader is taken as given, to be read where it is used (as
     SweepSpec reads sweep values); one whose default is False is an on/off flag."""
 
-    read: Callable[[str, object], object] | None
+    read: Callable[[object, str], object] | None
     defaults: dict
     key: str | None
     help: str
@@ -138,7 +133,7 @@ _REPS = {**_on("batch sweep", 1000), "calibrate": 200}
 # flags are declared in this order
 _SETTINGS = {
     "config": _Setting(_path, _on(_ALL), None, "JSON config file"),
-    "seed": _Setting(_master_seed, _on(_ALL, 0), "seed", "master seed"),
+    "seed": _Setting(as_seed, _on(_ALL, 0), "seed", "master seed"),
     "out": _Setting(_path, _OUT, None, "file to write results to (calibrate: the profile)"),
     "format": _Setting(_file_format, _on(_SIM, "csv"), "format", "file format, csv or json"),
     "population": _Setting(_roster, _on(_SIM), "population", "endowment CSV to load"),
@@ -146,10 +141,10 @@ _SETTINGS = {
     "trace": _Setting(_path, _on("run"), "trace", "write per-fill trace (JSON lines)"),
     "param": _Setting(_text, _on("sweep", _NEEDED), "sweep.parameter", "axis, e.g. market_width"),
     "values": _Setting(None, _on("sweep", _NEEDED), "sweep.values", "a,b,c or lo:hi,..."),
-    "reps": _Setting(_integer, _REPS, "reps", "days per batch, sweep value or candidate"),
-    "jobs": _Setting(_integer, _on("batch sweep calibrate", 1), "jobs", "worker processes"),
+    "reps": _Setting(as_count, _REPS, "reps", "days per batch, sweep value or candidate"),
+    "jobs": _Setting(as_count, _on("batch sweep calibrate", 1), "jobs", "worker processes"),
     "targets": _Setting(_targets, _on("calibrate", DEFAULT_TARGETS), "targets", "targets JSON"),
-    "budget": _Setting(_integer, _on("calibrate", 200), "budget", "candidates to evaluate"),
+    "budget": _Setting(as_count, _on("calibrate", 200), "budget", "candidates to evaluate"),
     "progress": _Setting(None, _on("calibrate", False), None, "log each candidate"),
     "params": _Setting(_params, _on(f"{_SIM} calibrate", ModelParams()), "params", "", False),
 }
@@ -175,7 +170,7 @@ def _read(args, cfg: dict, name: str):
     if raw is None and s.key is not None:
         raw, label = _config_value(cfg, s.key), s.key
     if raw is not None:
-        return raw if s.read is None else s.read(label, raw)
+        return raw if s.read is None else s.read(raw, label)
     default = s.defaults[args.command]
     if default is _NEEDED:
         where = f" or a config {s.key}" if s.key else ""

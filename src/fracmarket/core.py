@@ -430,17 +430,17 @@ class ModelParams:
         )
 
     def validate(self) -> None:
-        """Raise ConfigError listing every invalid field."""
+        """Raise ConfigError listing every field out of its range."""
         problems: list[str] = []
         # every probability, ratio and rate, as the field names say, lies in [0, 1]
         for name in (n for n in _FIELD_TYPES if n.endswith(("_prob", "_ratio", "_rate"))):
             v = getattr(self, name)
-            if not _is_number(v) or not 0.0 <= v <= 1.0:
+            if not 0.0 <= v <= 1.0:
                 problems.append(f"{name}={_quote(v)} not in [0, 1]")
-        p_ref_ok = _is_number(self.p_ref) and 0 < self.p_ref < math.inf
+        p_ref_ok = 0 < self.p_ref < math.inf
         if not p_ref_ok:
             problems.append(f"p_ref={_quote(self.p_ref)} not positive and finite")
-        if not (_is_number(self.k_pb) and math.isfinite(self.k_pb)):
+        if not math.isfinite(self.k_pb):
             problems.append(f"k_pb={_quote(self.k_pb)} not finite")
         # zero-width bounds (lo == hi) are legal so degenerate price draws
         # can be scripted in tests. The two price bands price offers from
@@ -451,57 +451,33 @@ class ModelParams:
             ("market_lo", "market_hi", False),
         ):
             lo, hi = getattr(self, lo_name), getattr(self, hi_name)
-            if not (_is_number(lo) and _is_number(hi)):
-                problems.append(f"{lo_name}/{hi_name} not numeric")
-            elif not (0.0 < lo <= hi < math.inf):
+            if not (0.0 < lo <= hi < math.inf):
                 problems.append(
                     f"({lo_name}, {hi_name})=({_quote(lo)}, {_quote(hi)})"
                     " must satisfy 0 < lo <= hi < inf"
                 )
-            elif prices and p_ref_ok:  # on the floats stored: 10**200 * 10**200 is not inf
-                band = (float(lo) * float(self.p_ref), float(hi) * float(self.p_ref))
+            elif prices and p_ref_ok:
+                band = (lo * self.p_ref, hi * self.p_ref)
                 if not (band[0] > 0.0 and band[1] < math.inf):
                     problems.append(
                         f"({lo_name}, {hi_name}) * p_ref={band} must be positive and finite"
                     )
-        for name, kind in _FIELD_TYPES.items():
-            v = getattr(self, name)
-            if kind is int and not (_is_number(v, int) and v >= 1):
-                problems.append(f"{name}={_quote(v)} not a positive int")
-            elif kind is bool and not isinstance(v, (bool, np.bool_)):
-                problems.append(f"{name}={_quote(v)} not a bool")
+        for name in (n for n, kind in _FIELD_TYPES.items() if kind is int):
+            if getattr(self, name) < 1:
+                problems.append(f"{name}={_quote(getattr(self, name))} not a positive int")
         if problems:
             raise ConfigError("invalid parameters: " + "; ".join(problems))
 
     def __post_init__(self) -> None:
-        self.validate()  # so a parameter set that exists is valid
-        for name, kind in _FIELD_TYPES.items():  # numpy numbers can wrap, lack as_integer_ratio
-            object.__setattr__(self, name, kind(getattr(self, name)))
+        _read_then_validate(self, _FIELD_TYPES, "invalid parameters")
 
     @staticmethod
     def coerce(name: str, value) -> float | int | bool:
-        """`value` converted to the type of field `name`.
-
-        The one conversion for parameters given as text or loosely typed
-        numbers (config files, sweep values). A float field takes a number
-        or a numeric string; an int field takes an integral one; a flag
-        takes True/False, 0/1 or the strings "true"/"false"/"0"/"1" in any
-        case. Anything else, a bool for a numeric field included, raises
-        ConfigError naming the field and the value. Ranges are left to
-        `validate`.
-        """
+        """`value` read as field `name` reads it (`as_number`); ConfigError
+        for a field that does not exist. Ranges are left to `validate`."""
         kind = _FIELD_TYPES.get(name)
         if kind is None:
             raise ConfigError(f"unknown parameter field {_quote(name)}")
-        if kind is bool:
-            if isinstance(value, str):
-                flag = _FLAG_WORDS.get(value.strip().lower())
-            else:
-                number = isinstance(value, (numbers.Real, np.bool_))
-                flag = bool(value) if number and value in (0, 1) else None
-            if flag is None:
-                raise ConfigError(f"{name}={_quote(value)} is not a flag (true, false, 0 or 1)")
-            return flag
         return as_number(name, value, kind)
 
     replace = replace  # dataclasses.replace: a copy with fields changed, checked when made
@@ -520,18 +496,31 @@ def _is_number(value, kind: type = float) -> bool:
     return isinstance(value, kind)
 
 
-def as_number(name: str, value, kind: type = float) -> float | int:
-    """`value` as a float (`kind=float`) or an integer (`kind=int`).
+def as_number(name: str, value, kind: type = float) -> float | int | bool:
+    """`value` read as a float, an integer or a flag (`kind` float, int or bool).
 
-    The one reader for numbers given as text or loosely typed JSON: model
-    parameters, profile fields and command-line settings. It takes a number
-    (`_is_number`) or a numeric string; an integer must be integral, never
-    truncated, and is read exactly. Anything else, a bool included, raises
-    ConfigError naming `name` and the value. Ranges are left to the caller.
+    The one reader for every number a config type or a setting is given, at
+    every door. A float takes a number (`_is_number`) or numeric text; an
+    integer an integer, read exactly, or an integral float or text; a flag a
+    bool (numpy's too), 0 or 1 as a number or text, or true or false in any
+    case. A bool is never a number. Anything else raises ConfigError naming
+    `name` and the value. Ranges are left to the caller.
     """
+    if kind is bool:
+        x = value
+        if isinstance(value, str):  # a word, or numeric text read as its number
+            x = {"true": True, "false": False}.get(value.strip().lower(), value)
+            with contextlib.suppress(ValueError):
+                x = float(value)
+        if isinstance(x, (numbers.Real, np.bool_)) and x in (0, 1):
+            return bool(x)
+        raise ConfigError(f"{name}={_quote(value)} is not a flag (true, false, 0 or 1)")
     if kind is int and (isinstance(value, str) or _is_number(value, int)):
-        with contextlib.suppress(ValueError):
+        try:
             return int(value)  # exact where float() would round or overflow, as for 2**60
+        except ValueError as e:
+            if str(e).startswith("Exceeds the limit"):  # text past the 4300-digit limit
+                raise ConfigError(f"{name}={_quote(value)} is too long to read: {e}") from None
     x = None
     if isinstance(value, str) or _is_number(value):
         with contextlib.suppress(ValueError):
@@ -545,23 +534,40 @@ def as_number(name: str, value, kind: type = float) -> float | int:
     return int(x)
 
 
+def _read_then_validate(obj, kinds: dict[str, type], what: str) -> None:
+    """Set each field of the frozen dataclass `obj` named in `kinds` to its
+    value read by `as_number` as that kind, then run `obj.validate()`: so a
+    config type that exists is valid. Reading again changes nothing. A
+    ConfigError starting with `what` lists every field it cannot read."""
+    problems = []
+    for name, kind in kinds.items():
+        try:
+            object.__setattr__(obj, name, as_number(name, getattr(obj, name), kind))
+        except ConfigError as e:
+            problems.append(str(e))
+    if problems:
+        raise ConfigError(f"{what}: " + "; ".join(problems))
+    obj.validate()
+
+
 def as_seed(value, name: str = "seed") -> int:
-    """`value` as a master seed for `numpy.random.SeedSequence`, which
-    would reject anything else with a raw ValueError or TypeError: a
-    non-negative integer, a bool excluded. Raises ConfigError naming `name`
-    and the value."""
+    """`value` read as a master seed for `numpy.random.SeedSequence`, which
+    would reject anything else with a raw ValueError or TypeError: an
+    integer (`as_number`) that is not negative. Raises ConfigError naming
+    `name` and the value."""
     return _as_int(value, name, 0, "non-negative")
 
 
 def as_count(value, name: str) -> int:
-    """`value` as a count, such as a number of days or workers: a positive
-    integer, a bool excluded. Raises ConfigError naming `name` and the value."""
+    """`value` read as a count, such as a number of days or workers: an
+    integer (`as_number`) of at least 1. Raises ConfigError naming `name`
+    and the value."""
     return _as_int(value, name, 1, "positive")
 
 
 def _as_int(value, name: str, least: int, what: str) -> int:  # as_seed's and as_count's check
-    if _is_number(value, int) and value >= least:
-        return int(value)
+    if (n := as_number(name, value, int)) >= least:
+        return n
     raise ConfigError(f"{name}={_quote(value)} must be a {what} integer")
 
 
@@ -573,8 +579,6 @@ def _quote(value) -> str:
         return f"<{type(value).__name__} too long to print>"
     return text if len(text) <= 80 else text[:77] + "..."
 
-
-_FLAG_WORDS = {"true": True, "false": False, "1": True, "0": False}
 
 # field name -> int, float or bool, read from ModelParams' annotations
 _FIELD_TYPES: dict[str, type] = typing.get_type_hints(ModelParams)

@@ -21,7 +21,6 @@ import contextlib
 import csv
 import json
 import math
-import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from functools import partial
@@ -40,8 +39,8 @@ from .core import (
     LazyPopulation,
     ModelParams,
     Rng,
-    _is_number,
     _quote,
+    _read_then_validate,
     as_number,
     as_seed,
     make_rng,
@@ -62,20 +61,20 @@ __all__ = [
     "simulate_profile_day",
 ]
 
-# family -> (its argument names, the draw of n values as floats, which takes
-# the arguments by name); the rounded families return whole numbers
-_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., np.ndarray]]] = {
-    "constant": (("value",), lambda n, rng, value: np.full(n, float(value))),
+# family -> (each argument's name and kind, the draw of n values as floats,
+# which takes the arguments by name); the rounded families return whole numbers
+_FAMILIES: dict[str, tuple[dict[str, type], Callable[..., np.ndarray]]] = {
+    "constant": ({"value": float}, lambda n, rng, value: np.full(n, value)),
     "uniform-integer": (
-        ("lo", "hi"),
-        lambda n, rng, lo, hi: rng.integers(int(lo), int(hi) + 1, size=n).astype(float),
+        {"lo": int, "hi": int},
+        lambda n, rng, lo, hi: rng.integers(lo, hi + 1, size=n).astype(float),
     ),
     "lognormal-rounded": (
-        ("mu", "sigma"),
+        {"mu": float, "sigma": float},
         lambda n, rng, mu, sigma: np.rint(rng.lognormal(mu, sigma, size=n)),
     ),
     "pareto-rounded": (
-        ("shape", "scale"),
+        {"shape": float, "scale": float},
         lambda n, rng, shape, scale: np.rint(scale * (1.0 - rng.random(n)) ** (-1.0 / shape)),
     ),
 }
@@ -95,9 +94,9 @@ class _Args(dict):
 
 @dataclass(frozen=True)
 class DistSpec:
-    """One endowment distribution: a family and its arguments, each an int
-    or a float (a bool is neither). A spec keeps its arguments as plain
-    Python numbers in a dict that refuses changes, so it stays as checked.
+    """One endowment distribution: a family and its arguments, each read by
+    `as_number` as its kind in `_FAMILIES` (``uniform-integer``'s bounds as
+    ints, the rest as floats) and kept in a dict that refuses changes.
 
     Families and their arguments:
 
@@ -114,36 +113,35 @@ class DistSpec:
     args: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.validate()  # then kept as plain numbers, which JSON writes, in a dict none can change
-        a = self.args
-        plain = {k: int(v) if isinstance(v, numbers.Integral) else float(v) for k, v in a.items()}
-        object.__setattr__(self, "args", _Args(plain))
-
-    def validate(self) -> None:
         if not isinstance(self.family, str) or self.family not in _FAMILIES:
             family, known = _quote(self.family), tuple(_FAMILIES)
             raise ConfigError(f"unknown distribution family {family}; expected one of {known}")
         if not isinstance(self.args, dict):
             raise ConfigError(f"distribution {self.family!r}: args {_quote(self.args)} not a dict")
-        required = _FAMILIES[self.family][0]
-        missing = [k for k in required if k not in self.args]
-        extra = [k for k in self.args if k not in required]
+        kinds = _FAMILIES[self.family][0]
+        missing = [k for k in kinds if k not in self.args]
+        extra = [k for k in self.args if k not in kinds]
         if missing or extra:
             raise ConfigError(
                 f"distribution {self.family!r}: missing args {missing}, unexpected {_quote(extra)}"
             )
+        args = {k: as_number(k, v, kinds[k]) for k, v in self.args.items()}
+        object.__setattr__(self, "args", _Args(args))
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise ConfigError on an argument out of its family's range."""
         a = self.args
-        bad = [k for k, v in a.items() if not (_is_number(v) and math.isfinite(v))]
+        kinds = _FAMILIES[self.family][0]  # an int argument is finite, and may pass float range
+        bad = [k for k, v in a.items() if kinds[k] is float and not math.isfinite(v)]
         if bad:
             raise ConfigError(f"distribution {self.family!r}: args {bad} not finite numbers")
         q = {k: _quote(v) for k, v in a.items()}
         if self.family == "constant" and a["value"] < 0:
             raise ConfigError(f"constant value {q['value']} negative")
-        if self.family == "uniform-integer":
-            lo, hi = a["lo"], a["hi"]
-            # numpy draws int64, so hi + 1 may reach 2**63 but not pass it
-            if lo != int(lo) or hi != int(hi) or not 0 <= lo <= hi < 2**63:
-                raise ConfigError(f"uniform-integer bounds ({q['lo']}, {q['hi']}) invalid")
+        # numpy draws int64, so hi + 1 may reach 2**63 but not pass it
+        if self.family == "uniform-integer" and not 0 <= a["lo"] <= a["hi"] < 2**63:
+            raise ConfigError(f"uniform-integer bounds ({q['lo']}, {q['hi']}) invalid")
         if self.family == "lognormal-rounded" and a["sigma"] < 0:
             raise ConfigError(f"lognormal sigma {q['sigma']} negative")
         if self.family == "pareto-rounded" and (a["shape"] <= 0 or a["scale"] < 0):
@@ -160,8 +158,7 @@ class DistSpec:
     def from_json_dict(cls, d: dict) -> "DistSpec":
         if not isinstance(d, dict) or "family" not in d:
             raise ConfigError(f"distribution spec {_quote(d)} lacks a family")
-        args = {k: as_number(k, v) for k, v in d.items() if k != "family"}
-        return cls(family=d["family"], args=args)
+        return cls(family=d["family"], args={k: v for k, v in d.items() if k != "family"})
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -187,29 +184,27 @@ class EndowmentProfile:
     cash_floor: float = 0.0
 
     def validate(self) -> None:
-        """Raise ConfigError listing every bad field; each DistSpec checked itself when made."""
+        """Raise ConfigError listing every number out of its range."""
         problems = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.default is MISSING:  # a distribution, as in from_json_dict
-                if not isinstance(v, DistSpec):
-                    problems.append(f"{f.name}={_quote(v)} is not a DistSpec")
-            elif type(f.default) is int:
-                if not (_is_number(v, int) and v >= 0):
-                    problems.append(f"{f.name}={_quote(v)} not a nonnegative int")
-            elif f.name == "cash_floor":
-                if not (_is_number(v) and 0.0 <= v < math.inf):
+        for name, kind in _PROFILE_NUMBERS.items():
+            v = getattr(self, name)
+            if kind is int:
+                if v < 0:
+                    problems.append(f"{name}={_quote(v)} not a nonnegative int")
+            elif name == "cash_floor":
+                if not 0.0 <= v < math.inf:
                     problems.append(f"cash_floor={_quote(v)} not nonnegative and finite")
-            elif not (_is_number(v) and 0.0 <= v <= 1.0):  # a holder fraction
-                problems.append(f"{f.name}={_quote(v)} not in [0, 1]")
+            elif not 0.0 <= v <= 1.0:  # a holder fraction
+                problems.append(f"{name}={_quote(v)} not in [0, 1]")
         if problems:
             raise ConfigError("invalid profile: " + "; ".join(problems))
 
     def __post_init__(self) -> None:
-        self.validate()  # so a profile that exists is valid; then its numbers made plain
-        for f in fields(self):
-            if f.default is not MISSING:
-                object.__setattr__(self, f.name, type(f.default)(getattr(self, f.name)))
+        for f in fields(self):  # a distribution has no default
+            v = getattr(self, f.name)
+            if f.default is MISSING and not isinstance(v, DistSpec):
+                raise ConfigError(f"{f.name}={_quote(v)} is not a DistSpec")
+        _read_then_validate(self, _PROFILE_NUMBERS, "invalid profile")
 
     def to_json_dict(self) -> dict:
         d = {}
@@ -224,18 +219,21 @@ class EndowmentProfile:
         takes the field's default; the four distributions have none. A
         missing or bad value is a ConfigError naming its key. Counts must be
         integral; keys that are not fields, such as "calibration", are ignored."""
-        values = {}
-        for f in fields(cls):
-            if f.default is MISSING:  # a distribution
-                if f.name not in d:
-                    raise ConfigError(f"profile lacks required key {f.name!r}")
-                try:
-                    values[f.name] = DistSpec.from_json_dict(d[f.name])
-                except ConfigError as e:
-                    raise ConfigError(f"{f.name}: {e}") from None
-            else:  # a number, an int when its default is one
-                values[f.name] = as_number(f.name, d.get(f.name, f.default), type(f.default))
+        values = {k: d[k] for k in _PROFILE_NUMBERS if k in d}  # read by the profile itself
+        for name in (f.name for f in fields(cls) if f.default is MISSING):  # a distribution
+            if name not in d:
+                raise ConfigError(f"profile lacks required key {name!r}")
+            try:
+                values[name] = DistSpec.from_json_dict(d[name])
+            except ConfigError as e:
+                raise ConfigError(f"{name}: {e}") from None
         return cls(**values)
+
+
+# a profile's number fields and their types, read from their defaults
+_PROFILE_NUMBERS = {
+    f.name: type(f.default) for f in fields(EndowmentProfile) if f.default is not MISSING
+}
 
 
 @contextlib.contextmanager
@@ -306,26 +304,24 @@ def _draw_columns(profile: EndowmentProfile, rng: Rng) -> LazyPopulation:
     Blocks and draw order: pure-buyer cash, pure-seller holder uniforms,
     pure-seller shares (drawn for every agent, zeroed for non-holders so the
     stream does not depend on the holder outcomes), buyer-seller holder
-    uniforms, buyer-seller shares, buyer-seller cash. A draw beyond float
-    range is an EndowmentError.
+    uniforms, buyer-seller shares, buyer-seller cash. Counts too large to
+    draw, or a draw beyond float range, are an EndowmentError.
     """
-    cash_pb = _cash_values(profile.cash_dist_pb, profile.n_pb, profile.cash_floor, rng)
-    holder_ps = rng.random(profile.n_ps) < profile.ps_holder_frac
-    shares_ps = _share_values(profile.share_dist_ps, profile.n_ps, rng)
-    holder_bs = rng.random(profile.n_bs) < profile.bs_holder_frac
-    shares_bs = _share_values(profile.share_dist_bs, profile.n_bs, rng)
-    cash_bs = _cash_values(profile.cash_dist_bs, profile.n_bs, profile.cash_floor, rng)
-
     counts = (profile.n_pb, profile.n_ps, profile.n_bs)  # in KIND_ORDER
-    kinds = np.repeat(np.arange(3, dtype=np.int8), counts)
-    shares = np.concatenate(
-        (
-            np.zeros(profile.n_pb),
-            np.where(holder_ps, shares_ps, 0.0),
-            np.where(holder_bs, shares_bs, 0.0),
-        )
-    )
-    cash = np.concatenate((cash_pb, np.zeros(profile.n_ps), cash_bs))
+    try:
+        cash_pb = _cash_values(profile.cash_dist_pb, profile.n_pb, profile.cash_floor, rng)
+        holder_ps = rng.random(profile.n_ps) < profile.ps_holder_frac
+        shares_ps = _share_values(profile.share_dist_ps, profile.n_ps, rng)
+        holder_bs = rng.random(profile.n_bs) < profile.bs_holder_frac
+        shares_bs = _share_values(profile.share_dist_bs, profile.n_bs, rng)
+        cash_bs = _cash_values(profile.cash_dist_bs, profile.n_bs, profile.cash_floor, rng)
+        kinds = np.repeat(np.arange(3, dtype=np.int8), counts)
+        held = (np.where(holder_ps, shares_ps, 0.0), np.where(holder_bs, shares_bs, 0.0))
+        shares = np.concatenate((np.zeros(profile.n_pb), *held))
+        cash = np.concatenate((cash_pb, np.zeros(profile.n_ps), cash_bs))
+    except (ValueError, OverflowError, MemoryError) as e:  # numpy's refusal of an array size
+        n = ", ".join(f"{k}={_quote(getattr(profile, k))}" for k in ("n_pb", "n_ps", "n_bs"))
+        raise EndowmentError(f"profile counts {n} too large to draw: {e}") from None
     if not (np.isfinite(shares).all() and np.isfinite(cash).all()):
         raise EndowmentError("profile drew a share holding or cash amount beyond float range")
     return LazyPopulation(kinds, cash, partial(_column_agent, kinds, shares.tolist(), cash))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import (
     AgentState, ConfigError, LazyPopulation, ModelParams, Rng,
-    _is_number, _quote, as_count, as_number, as_seed, make_rng,
+    _quote, _read_then_validate, as_count, as_number, as_seed, make_rng,
 )
 from .endowments import (
     _FAMILIES, DistSpec, EndowmentProfile, load_population, simulate_profile_day,
@@ -80,37 +80,43 @@ def apply_axis(base: ModelParams, parameter: str, value) -> ModelParams:
     Composite axes: ``market_range`` takes a (lo, hi) pair; ``market_width``
     resizes the envelope around its current midpoint; ``market_midpoint``
     recenters it at its current width. All three re-derive the per-kind
-    price bounds. Each number is read by `_axis_number`. Raises ConfigError
-    naming the value if the result is not a valid parameter set.
+    price bounds. Raises ConfigError naming the value if the axis cannot
+    read it (`_applied`) or the result is not a valid parameter set.
     """
+    return _applied(base, parameter, value)[1]
+
+
+def _applied(base: ModelParams, parameter: str, value) -> tuple[object, ModelParams]:
+    """`value` read by `parameter`'s axis, and `base` with the axis set to it:
+    ``market_range`` reads a (lo, hi) list or tuple of floats, the other
+    composite axes a float, a field what `ModelParams.coerce` reads."""
     try:
+        _check_axis(parameter)
         if parameter == "market_range":
             try:
-                lo, hi = (_axis_number(parameter, x) for x in value)
+                if not isinstance(value, (list, tuple)):  # text would be read by character
+                    raise TypeError
+                lo, hi = (as_number(parameter, x) for x in value)
             except (TypeError, ValueError, ConfigError):
                 raise ConfigError(
                     f"market_range value {_quote(value)} must be a (lo, hi) pair of numbers"
                 ) from None
-            return base.with_ranges_from_market(lo, hi)
-        x = _axis_number(parameter, value)
+            return (lo, hi), base.with_ranges_from_market(lo, hi)
         if parameter not in _COMPOSITE_AXES:
-            return base.replace(**{parameter: x})
+            x = ModelParams.coerce(parameter, value)
+            return x, base.replace(**{parameter: x})
+        x = as_number(parameter, value)
         lo, hi = base.market_lo, base.market_hi
         mid, w = ((lo + hi) / 2.0, x) if parameter == "market_width" else (x, hi - lo)
-        return base.with_ranges_from_market(mid - w / 2.0, mid + w / 2.0)
+        return x, base.with_ranges_from_market(mid - w / 2.0, mid + w / 2.0)
     except ConfigError as e:
         raise ConfigError(f"sweep value {_quote(value)} for {_quote(parameter)}: {e}") from None
 
 
-def _axis_number(parameter: str, x):
-    """One number of `parameter`'s axis: a field's read by ModelParams.coerce,
-    a composite axis's by `as_number`, so a bool is one only for a flag."""
-    if parameter in _COMPOSITE_AXES:
-        return as_number(parameter, x)
-    if parameter in ModelParams.field_names():
-        return ModelParams.coerce(parameter, x)
-    axes = ", ".join(sweep_axes())
-    raise ConfigError(f"unknown sweep parameter {_quote(parameter)}; valid axes: {axes}")
+def _check_axis(parameter) -> None:
+    if not isinstance(parameter, str) or parameter not in sweep_axes():
+        axes = ", ".join(sweep_axes())
+        raise ConfigError(f"unknown sweep parameter {_quote(parameter)}; valid axes: {axes}")
 
 
 def _resolve_source(source: PopulationSource) -> EndowmentProfile | LazyPopulation:
@@ -189,9 +195,10 @@ class SweepSpec:
     """One-dimensional sweep: `parameter` takes each of `values` in turn.
 
     `values` is a list or tuple, or text ``a,b,c`` with pairs as ``lo:hi``
-    as ``fracmarket sweep --values`` takes it; `_axis_number` reads each text
-    item, in an inner list or tuple too. A spec applies each value when made
-    and keeps the parameter sets for `run_sweep`.
+    as ``fracmarket sweep --values`` takes it. A spec reads `reps`
+    (`as_count`), `master_seed` (`as_seed`) and each value (`_applied`)
+    when made, keeps them as read, and keeps the parameter set each value
+    gives for `run_sweep`.
     """
 
     parameter: str
@@ -201,32 +208,26 @@ class SweepSpec:
     base_params: ModelParams = field(default_factory=ModelParams)
 
     def __post_init__(self):
-        if not isinstance(self.parameter, str):
-            raise ConfigError(f"sweep parameter {_quote(self.parameter)} is not an axis name")
+        _check_axis(self.parameter)
+        if not isinstance(self.base_params, ModelParams):
+            raise ConfigError(f"base_params={_quote(self.base_params)} is not a ModelParams")
         items = self.values
         if isinstance(items, str):
             texts = (s.strip() for s in items.split(","))
             items = [s.split(":", 1) if ":" in s else s for s in texts if s]
         elif not isinstance(items, (list, tuple)):
             raise ConfigError(f"sweep values {_quote(items)} must be a list, a tuple or a,b,c text")
-
-        def read(item):
-            return _axis_number(self.parameter, item) if isinstance(item, str) else item
-
-        values = (tuple(map(read, v)) if isinstance(v, (list, tuple)) else read(v) for v in items)
-        object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "reps", as_count(self.reps, "reps"))
+        object.__setattr__(self, "master_seed", as_seed(self.master_seed, "master_seed"))
+        applied = [_applied(self.base_params, self.parameter, v) for v in items]
+        object.__setattr__(self, "values", tuple(x for x, _ in applied))
+        object.__setattr__(self, "_param_sets", tuple(p for _, p in applied))
         self.validate()
-        param_sets = tuple(apply_axis(self.base_params, self.parameter, v) for v in self.values)
-        object.__setattr__(self, "_param_sets", param_sets)
 
     def validate(self) -> None:
-        """Raise ConfigError on a bad setting; a bad value was refused when made."""
-        if not isinstance(self.base_params, ModelParams):
-            raise ConfigError(f"base_params={_quote(self.base_params)} is not a ModelParams")
+        """Raise ConfigError on a sweep without values; the rest was read when made."""
         if not self.values:
             raise ConfigError("sweep has no values")
-        as_count(self.reps, "reps")
-        as_seed(self.master_seed, "master_seed")
 
 
 def run_sweep(
@@ -259,10 +260,11 @@ class CalibrationTargets:
     def validate(self) -> None:
         for name in self.FIELDS:
             v = getattr(self, name)
-            if not (_is_number(v) and 0 < v < math.inf):
+            if not 0 < v < math.inf:
                 raise ConfigError(f"target {name}={_quote(v)} must be a positive finite number")
 
-    __post_init__ = validate  # so targets that exist are valid
+    def __post_init__(self) -> None:
+        _read_then_validate(self, dict.fromkeys(self.FIELDS, float), "invalid targets")
 
 
 # reproduction targets for the default market configuration
@@ -392,7 +394,8 @@ def calibrate_profile(
             best, best_obj = candidate, obj
         if progress is not None:
             progress(idx, obj, best_obj)
-    assert best is not None
+    if best is None:
+        raise ConfigError("no candidate produced a day with a defined liquidity ratio")
     return best, best_obj
 
 

@@ -340,7 +340,37 @@ def test_calibrate_missing_targets_file(capsys, tmp_path):
     assert "nope.json" in err
 
 
+def test_calibrate_progress_prints_each_candidate(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "calibrate", "--seed", "1", "--budget", "2", "--reps", "1", "--progress",
+        "--out", str(tmp_path / "p.json"),
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["candidate 0", "candidate 1"]
+    assert re.fullmatch(r"candidate 1: objective \d+\.\d{5} \(best \d+\.\d{5}\)", lines[1])
+    assert lines[2].startswith("best objective ")
+
+
 # --- errors and layering ----------------------------------------------------
+
+
+def test_a_file_that_cannot_be_written_exits_2_with_one_line(capsys, tmp_path, roster_csv):
+    out = tmp_path / "missing" / "day.csv"
+    code, _, err = run_cli(capsys, "run", "--population", str(roster_csv), "--out", str(out))
+    assert code == 2
+    assert err.startswith("fracmarket: i/o error: ") and str(out) in err
+    assert err.count("\n") == 1
+
+
+def test_a_runtime_failure_exits_2_with_one_line(capsys, monkeypatch, roster_csv):
+    def broken(*args):
+        raise fracmarket.ContractViolation("seller 3 already has a live offer")
+
+    monkeypatch.setattr(fracmarket.cli, "run_day", broken)
+    code, _, err = run_cli(capsys, "run", "--population", str(roster_csv))
+    assert code == 2
+    assert err == "fracmarket: error: seller 3 already has a live offer\n"
 
 
 def test_missing_population_file_exits_1(capsys, tmp_path):
@@ -429,6 +459,13 @@ SWEEP = "sweep --reps 2 --population {pop} --param"
          {"sweep": {"parameter": "market_midpoint", "values": [0.9, True]}}, 1),
         ("sweep --reps 2 --population {pop} --config {cfg}",
          {"sweep": {"parameter": "market_range", "values": [[True, 1.2]]}}, 1),
+        # a market_range item without a colon is not a pair of its digits
+        ("sweep --reps 2 --population {pop} --param market_range --values 12", None, 1),
+        ("sweep --reps 2 --population {pop} --config {cfg}",
+         {"sweep": {"parameter": "market_range", "values": ["12"]}}, 1),
+        ("gen-endowments --config {cfg} --out {tmp}/pop.csv",
+         {"profile": {**default_profile().to_json_dict(),
+                      "share_dist_ps": {"family": "uniform-integer", "lo": 0, "hi": 10**400}}}, 1),
         ("run --config {cfg}", {"population": 5}, 1),
         ("sweep --config {cfg}", {"population": "\0"}, 1),
         ("run --population {pop} --config {cfg} --out {tmp}/day.out", {"format": "xml"}, 1),
@@ -488,8 +525,8 @@ def test_a_bad_json_file_exits_1_naming_the_problem(capsys, tmp_path, command, t
 
 
 def test_config_flag_words_parse():
-    assert _params("params", {"debit_exit_fee": "false"}).debit_exit_fee is False
-    assert _params("params", {"debit_exit_fee": "true"}).debit_exit_fee is True
+    assert _params({"debit_exit_fee": "false"}, "params").debit_exit_fee is False
+    assert _params({"debit_exit_fee": "true"}, "params").debit_exit_fee is True
 
 
 def test_bad_flag_exits_1(capsys):

@@ -380,14 +380,19 @@ def test_search_len_and_iters_must_be_positive_ints():
         make_params(n_trading_iters=True).validate()
 
 
-@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
-def test_debit_exit_fee_must_be_a_bool(flag):
-    # a string is truthy: "false" would debit the fee
-    message = rf"^invalid parameters: debit_exit_fee={flag!r} not a bool$"
-    with pytest.raises(ConfigError, match=message):
-        make_params(debit_exit_fee=flag).validate()
-    for ok in (True, False, np.bool_(True)):
-        make_params(debit_exit_fee=ok).validate()
+@pytest.mark.parametrize(
+    "flag, want",
+    [("false", False), (" TRUE ", True), (0, False), (1, True), (1.0, True),
+     (np.bool_(True), True), (False, False), (None, None), ("yes", None), (2, None)],
+)
+def test_debit_exit_fee_reads_a_flag_as_every_door_does(flag, want):
+    # read as a flag, never by truth: the string "false" does not debit the fee
+    if want is None:
+        message = rf"^invalid parameters: debit_exit_fee={flag!r} is not a flag \(true, false, 0 or 1\)$"
+        with pytest.raises(ConfigError, match=message):
+            make_params(debit_exit_fee=flag)
+    else:
+        assert make_params(debit_exit_fee=flag).debit_exit_fee is want
 
 
 def test_numpy_integers_are_int_field_values():

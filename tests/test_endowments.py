@@ -92,29 +92,56 @@ def test_uniform_integer_bounds_stay_inside_int64():
 @pytest.mark.parametrize(
     "change, message",
     [
-        ({"n_pb": True}, "n_pb=True not a nonnegative int"),
-        ({"ps_holder_frac": "x"}, "ps_holder_frac='x' not in"),
-        ({"bs_holder_frac": None}, "bs_holder_frac=None not in"),
-        ({"cash_floor": "0"}, "cash_floor='0' not nonnegative"),
+        ({"n_pb": True}, r"^invalid profile: n_pb=True is not a number$"),
+        ({"ps_holder_frac": "x"}, r"^invalid profile: ps_holder_frac='x' is not a number$"),
+        ({"bs_holder_frac": None, "n_ps": 2.5},
+         r"^invalid profile: n_ps=2\.5 is not an integer; bs_holder_frac=None is not a number$"),
+        ({"cash_floor": "-1"}, r"^invalid profile: cash_floor=-1\.0 not nonnegative and finite$"),
         ({"cash_dist_pb": {"family": "constant", "value": 1}}, "cash_dist_pb=.* is not a DistSpec"),
         # a (family, args) pair is made a DistSpec inside the raises block;
         # a bad one is refused when made, before any profile names its field
-        ({"share_dist_ps": ("constant", {"value": "1"})},
-         r"^distribution 'constant': args \['value'\] not finite numbers$"),
+        ({"share_dist_ps": ("constant", {"value": "one"})}, r"^value='one' is not a number$"),
         ({"cash_dist_bs": ("lognormal-rounded", {"mu": True, "sigma": 1.0})},
-         r"^distribution 'lognormal-rounded': args \['mu'\] not finite numbers$"),
+         r"^mu=True is not a number$"),
+        ({"share_dist_ps": ("uniform-integer", {"lo": 0, "hi": 2.5})},
+         r"^hi=2\.5 is not an integer$"),
+        # an int past float range is a bound out of range, not an overflow
+        ({"share_dist_ps": ("uniform-integer", {"lo": 0, "hi": 10**400})},
+         r"^uniform-integer bounds \(0, 10{76}\.\.\.\) invalid$"),
         ({"cash_dist_pb": ("lognormal-rounded", {"mu": 1.0, "sigma": -0.5})},
          r"^lognormal sigma -0\.5 negative$"),
         ({"share_dist_ps": ("pareto-rounded", {"shape": 0, "scale": 10.0})},
-         r"^pareto shape/scale \(0, 10\.0\) invalid$"),
+         r"^pareto shape/scale \(0\.0, 10\.0\) invalid$"),
         ({"share_dist_bs": ("pareto-rounded", {"shape": 1.5, "scale": -1})},
-         r"^pareto shape/scale \(1\.5, -1\) invalid$"),
+         r"^pareto shape/scale \(1\.5, -1\.0\) invalid$"),
     ],
 )
-def test_a_profile_built_in_code_is_type_checked(change, message):
+def test_a_profile_built_in_code_reads_its_fields(change, message):
     with pytest.raises(ConfigError, match=message) as e:
         small_profile(**{k: DistSpec(*v) if type(v) is tuple else v for k, v in change.items()})
     assert "\n" not in str(e.value)
+
+
+def test_a_profile_built_in_code_reads_text_and_integral_floats_as_a_file_does():
+    profile = small_profile(
+        n_pb="30", n_ps=15.0, cash_floor="0",
+        share_dist_ps=DistSpec("constant", {"value": "1"}),
+        share_dist_bs=DistSpec("uniform-integer", {"lo": "1", "hi": 9.0}),
+    )
+    assert (profile.n_pb, profile.n_ps, profile.cash_floor) == (30, 15, 0.0)
+    assert (type(profile.n_ps), type(profile.cash_floor)) == (int, float)
+    assert profile.share_dist_ps.args == {"value": 1.0}
+    assert type(profile.share_dist_ps.args["value"]) is float
+    assert {type(v) for v in profile.share_dist_bs.args.values()} == {int}
+    assert EndowmentProfile.from_json_dict(profile.to_json_dict()) == profile
+
+
+def test_a_json_uniform_integer_bound_is_read_exactly():
+    d = small_profile().to_json_dict()
+    d["share_dist_ps"] = {"family": "uniform-integer", "lo": 1, "hi": 2**63 - 1}
+    read = EndowmentProfile.from_json_dict(json.loads(json.dumps(d))).share_dist_ps
+    assert read == DistSpec("uniform-integer", {"lo": 1, "hi": 2**63 - 1})
+    assert read.args["hi"] == 2**63 - 1 and type(read.args["hi"]) is int
 
 
 def test_numpy_integer_counts_draw_the_same_population():
@@ -519,7 +546,7 @@ def test_profile_validation_errors():
         small_profile(ps_holder_frac=1.5).validate()
     with pytest.raises(ConfigError):
         small_profile(n_pb=-1).validate()
-    with pytest.raises(ConfigError, match="^constant value -2 negative$"):
+    with pytest.raises(ConfigError, match=r"^constant value -2\.0 negative$"):
         small_profile(share_dist_ps=DistSpec("constant", {"value": -2}))
 
 
@@ -542,8 +569,12 @@ def test_profile_missing_key_rejected():
         ("cash_dist_bs", {"family": "lognormal-rounded", "mu": 1, "sigma": [1]},
          r"cash_dist_bs: sigma=\[1\] is not a number"),
         ("share_dist_bs", {"family": "uniform-integer", "lo": "nan", "hi": 3},
-         "share_dist_bs: .*not finite"),
+         "share_dist_bs: lo='nan' is not an integer"),
+        ("cash_dist_bs", {"family": "lognormal-rounded", "mu": "nan", "sigma": 1},
+         r"cash_dist_bs: distribution 'lognormal-rounded': args \['mu'\] not finite numbers"),
         ("cash_dist_pb", 5, "cash_dist_pb: distribution spec 5 lacks a family"),
+        ("share_dist_bs", json.loads('{"family": "uniform-integer", "lo": 0, "hi": 1%s}' % ("0" * 400)),
+         r"^share_dist_bs: uniform-integer bounds \(0, 10{76}\.\.\.\) invalid$"),
     ],
 )
 def test_profile_bad_value_names_its_key(key, value, message):
@@ -581,10 +612,12 @@ def test_evaluate_profile_self_targets_give_zero_objective():
     assert obj2 == 0.0
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
-def test_calibration_rejects_a_bad_seed(seed):
+@pytest.mark.parametrize(
+    "seed, message", [(-1, "must be a non-negative integer"), (1.5, "is not an integer")]
+)
+def test_calibration_rejects_a_bad_seed(seed, message):
     targets = CalibrationTargets(0.1, 1, 1, 1, 1)
-    with pytest.raises(ConfigError, match=rf"seed={seed!r} must be a non-negative integer"):
+    with pytest.raises(ConfigError, match=rf"^master_seed={seed!r} {message}$"):
         evaluate_profile(small_profile(), targets, ModelParams.baseline(), reps=1, seed=seed)
     with pytest.raises(ConfigError, match=rf"seed={seed!r}"):
         calibrate_profile(targets, 1, seed, reps=1)
@@ -607,6 +640,14 @@ def test_calibrate_reports_each_candidate_and_scores_an_undefined_ratio_as_infin
     )
     assert calls == [(0, math.inf, math.inf), (1, scored, scored)]
     assert (best, best_obj) == (holders, scored)
+
+
+def test_calibration_without_a_defined_ratio_is_a_config_error():
+    # no share holders, so no offers: every candidate's objective is infinite
+    no_holders = small_profile(n_pb=20, n_ps=10, n_bs=5, ps_holder_frac=0.0, bs_holder_frac=0.0)
+    message = "^no candidate produced a day with a defined liquidity ratio$"
+    with pytest.raises(ConfigError, match=message):
+        calibrate_profile(DEFAULT_TARGETS, 1, 0, reps=2, initial=[no_holders])
 
 
 def test_calibrate_warm_start_never_loses_to_no_better_candidate():
@@ -655,11 +696,24 @@ def test_calibration_digest_holds_at_two_jobs():
     assert hashlib.sha256(record.encode()).hexdigest() == CALIBRATION_DIGEST
 
 
-@pytest.mark.parametrize("target", [True, "0.1", 0.0, -1, math.inf, math.nan, None, [0.1]])
-def test_targets_must_be_positive_finite_numbers(target):
-    with pytest.raises(ConfigError, match="^target liquidity_ratio=.*$"):
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        (True, "invalid targets: liquidity_ratio=True is not a number"),
+        (None, "invalid targets: liquidity_ratio=None is not a number"),
+        ([0.1], r"invalid targets: liquidity_ratio=\[0\.1\] is not a number"),
+        (0.0, "target liquidity_ratio=0.0 must be a positive finite number"),
+        (-1, "target liquidity_ratio=-1.0 must be a positive finite number"),
+        (math.inf, "target liquidity_ratio=inf must be a positive finite number"),
+        ("nan", "target liquidity_ratio=nan must be a positive finite number"),
+    ],
+)
+def test_targets_must_be_positive_finite_numbers(target, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
         CalibrationTargets(target, n_offers=60, n_trades=100, offered_shares=4000, traded_shares=500)
-    CalibrationTargets(0.1, 60, 100, 4000, 500).validate()
+    read = CalibrationTargets("0.1", 60, 100, "4000", 500)
+    assert read == CalibrationTargets(0.1, 60.0, 100.0, 4000.0, 500.0)
+    assert {type(getattr(read, k)) for k in CalibrationTargets.FIELDS} == {float}
 
 
 BEYOND_FLOAT = 10**400  # an int no float can hold

@@ -332,9 +332,12 @@ def test_run_day_validates_params_before_running():
         run_day(pop, make_params(pb_trade_prob=7.0), 0)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, True])
-def test_run_day_rejects_a_bad_seed(seed):
-    with pytest.raises(ConfigError, match=rf"seed={seed!r} must be a non-negative integer"):
+@pytest.mark.parametrize(
+    "seed, message",
+    [(-1, "must be a non-negative integer"), (1.5, "is not an integer"), (True, "is not a number")],
+)
+def test_run_day_rejects_a_bad_seed(seed, message):
+    with pytest.raises(ConfigError, match=rf"^seed={seed!r} {message}$"):
         run_day([], make_params(), seed)
 
 

@@ -90,13 +90,18 @@ def test_golden_digest_is_pinned(jobs):
     assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN_DIGEST
 
 
-BAD_SEEDS = [-1, 1.5, True, "3", None]
+BAD_SEEDS = {
+    -1: "must be a non-negative integer",
+    1.5: "is not an integer",
+    True: "is not a number",
+    None: "is not a number",
+}
 
 
-@pytest.mark.parametrize("seed", BAD_SEEDS)
-def test_bad_master_seed_is_a_config_error_naming_it(seed):
+@pytest.mark.parametrize("seed, message", BAD_SEEDS.items())
+def test_bad_master_seed_is_a_config_error_naming_it(seed, message):
     profile = tiny_profile()
-    with pytest.raises(ConfigError, match=rf"master_seed={seed!r} must be a non-negative integer"):
+    with pytest.raises(ConfigError, match=rf"^master_seed={seed!r} {message}$"):
         run_batch(make_params(), profile, 2, seed)
     with pytest.raises(ConfigError, match=rf"master_seed={seed!r}"):
         run_sweep(SweepSpec("pb_trade_prob", (0.1,), reps=1, master_seed=seed), profile)
@@ -104,11 +109,12 @@ def test_bad_master_seed_is_a_config_error_naming_it(seed):
         simulate_profile_day(profile, make_params(), seed)
 
 
-def test_numpy_integer_seed_is_accepted():
+@pytest.mark.parametrize("seed", [np.int64(4), 4.0, "4"])
+def test_a_seed_is_read_as_every_door_reads_it(seed):
     profile = tiny_profile()
-    assert run_batch(make_params(), profile, 2, np.int64(4)) == run_batch(
-        make_params(), profile, 2, 4
-    )
+    assert run_batch(make_params(), profile, 2, seed) == run_batch(make_params(), profile, 2, 4)
+    spec = SweepSpec("pb_trade_prob", (0.1,), reps="2", master_seed=seed)
+    assert (spec.reps, spec.master_seed) == (2, 4) and type(spec.master_seed) is int
 
 
 def test_batch_is_deterministic():
@@ -193,8 +199,13 @@ def test_batch_rejects_bad_arguments():
         run_batch(make_params(), [object()], 1, 0)
 
 
-@pytest.mark.parametrize("value", [0, -1, 2.5, "3", None, True])
-def test_every_count_must_be_a_positive_integer(value):
+@pytest.mark.parametrize(
+    "value, message",
+    [(0, "must be a positive integer"), (-1, "must be a positive integer"),
+     (2.5, "is not an integer"), ("3.5", "is not an integer"), (None, "is not a number"),
+     (True, "is not a number")],
+)
+def test_every_count_must_be_a_positive_integer(value, message):
     params, profile = make_params(), tiny_profile()
     for name, call in (
         ("reps", lambda: run_batch(params, profile, value, 0)),
@@ -202,7 +213,7 @@ def test_every_count_must_be_a_positive_integer(value):
         ("reps", lambda: SweepSpec("pb_trade_prob", (0.1,), reps=value).validate()),
         ("search_budget", lambda: calibrate_profile(DEFAULT_TARGETS, value, 0, reps=1)),
     ):
-        with pytest.raises(ConfigError, match=rf"^{name}={value!r} must be a positive integer$"):
+        with pytest.raises(ConfigError, match=rf"^{name}={value!r} {message}$"):
             call()
 
 
@@ -347,11 +358,11 @@ def test_sweep_positions_match_batches():
 def test_sweep_applies_each_value_once(monkeypatch):
     applied = []
 
-    def counted(base, parameter, value):
+    def counted(base, parameter, value, applied_once=experiments._applied):
         applied.append(value)
-        return apply_axis(base, parameter, value)
+        return applied_once(base, parameter, value)
 
-    monkeypatch.setattr(experiments, "apply_axis", counted)
+    monkeypatch.setattr(experiments, "_applied", counted)
     run_sweep(SweepSpec("pb_trade_prob", (0.05, 0.3), reps=1), tiny_profile())
     assert applied == [0.05, 0.3]
 
@@ -361,7 +372,8 @@ def test_sweep_applies_each_value_once(monkeypatch):
     [
         ("pb_trade_prob", "0.05, 0.1", (0.05, 0.1)),
         ("pb_trade_prob", ("0.1", 0.2), (0.1, 0.2)),
-        ("bs_search_len", ["2", 3.0, 4], (2, 3.0, 4)),
+        ("bs_search_len", ["2", 3.0, 4], (2, 3, 4)),
+        ("debit_exit_fee", ["false", 1, np.bool_(False)], (False, True, False)),
         ("market_range", "0.7:1.2,0.8:1.1", ((0.7, 1.2), (0.8, 1.1))),
         ("market_range", [["0.7", "1.2"], (0.8, 1.1)], ((0.7, 1.2), (0.8, 1.1))),
     ],
@@ -375,8 +387,14 @@ def test_sweep_spec_reads_its_values(parameter, values, want):
 @pytest.mark.parametrize(
     "parameter, values, message",
     [
-        ("market_width", ["abc", True], "^market_width='abc' is not a number$"),
+        ("market_width", ["abc", True],
+         "^sweep value 'abc' for 'market_width': market_width='abc' is not a number$"),
         ("spread", "0.1", "^unknown sweep parameter 'spread'; valid axes: "),
+        # text without a colon is one number, not a pair read digit by digit
+        ("market_range", "12", r"^sweep value '12' for 'market_range': market_range value '12' "
+                               r"must be a \(lo, hi\) pair of numbers$"),
+        ("market_range", ["12"], r"^sweep value '12' for 'market_range': market_range value '12' "
+                                 r"must be a \(lo, hi\) pair of numbers$"),
     ],
 )
 def test_text_no_axis_reads_is_refused_when_the_spec_is_made(parameter, values, message):

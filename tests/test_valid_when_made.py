@@ -6,6 +6,9 @@ code that runs days re-checks none of them. Messages quote values through
 one bounded repr, which copes with an integer too long for Python to print.
 """
 
+import contextlib
+import io
+import json
 import pickle
 import warnings
 from dataclasses import asdict, replace
@@ -34,6 +37,7 @@ from fracmarket import (
     run_sweep,
     sweep_axes,
 )
+from fracmarket.cli import main
 from fracmarket.endowments import _FAMILIES, load_population, load_profile, save_profile
 
 SMALL_PROFILE = {**default_profile().__dict__, "n_pb": 30, "n_ps": 15, "n_bs": 10}
@@ -95,6 +99,24 @@ def test_a_day_re_checks_nothing(monkeypatch):
         monkeypatch.setattr(cls, "validate", refused)
     assert run_batch(params, profile, 2, 0).n_experiments == 2
     assert [v for v, _ in run_sweep(spec, profile)] == [0.1, 0.2]
+
+
+def test_counts_too_large_to_draw_are_an_endowment_error(tmp_path):
+    # numpy refuses an array of 10**19 items before it allocates anything
+    message = (
+        r"^profile counts n_pb=10000000000000000000, n_ps=15, n_bs=10 too large to draw: "
+        r"Maximum allowed dimension exceeded$"
+    )
+    with pytest.raises(EndowmentError, match=message):
+        generate_population(small_profile(n_pb=10**19), make_rng(0))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**small_profile().to_json_dict(), "n_pb": 10**19}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["gen-endowments", "--profile", str(path), "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert err.getvalue().startswith("fracmarket: configuration error: profile counts n_pb=")
+    assert err.getvalue().count("\n") == 1
 
 
 # --- integers however long ---------------------------------------------------
@@ -253,8 +275,8 @@ NEAR_PARAMS = near_changes(BASELINE).map(lambda changes: (ModelParams, (), chang
 NEAR_PROFILES = near_changes(SMALL_PROFILE).map(lambda changes: (small_profile, (), changes))
 # a day's cost grows with its agents and rounds, which a valid parameter set
 # or profile may make as large as it likes; these bounds keep one day small.
-# A count past numpy's array limit is valid as well, and generation then
-# fails with numpy's ValueError; that defect is open.
+# A count past numpy's array limit is valid as well; drawing it is a one-line
+# EndowmentError (test_counts_too_large_to_draw_are_an_endowment_error).
 MAX_AGENTS, MAX_ROUNDS = 200, 40
 
 
